@@ -17,13 +17,16 @@
 //! 3. otherwise fit a logistic regression `P(R_E = 1 | X)` on fully observed
 //!    attributes of the input dataset and weight each complete case by
 //!    `P(R_E = 1) / P(R_E = 1 | x_i)` — the IPW estimator the paper adopts.
+//!
+//! Step 3 runs once per query for all biased candidates together: their
+//! models share one design `X`, and `stats::logistic_fit_lockstep` fits
+//! them in lockstep over it.
 
 use std::collections::HashMap;
 
-use std::borrow::Cow;
-
 use infotheory::{CiTestConfig, EncodedFrame};
-use stats::{logistic_fit, logistic_fit_weighted, LogisticConfig};
+use parallel::FanOut;
+use stats::{logistic_fit_lockstep, LogisticConfig, LogisticDesign, MAX_PREDICTORS};
 use tabular::{Column, ColumnView, EncodedColumn};
 
 use crate::error::{MesaError, Result};
@@ -69,8 +72,266 @@ pub fn selection_indicator<'a>(column: impl Into<ColumnView<'a>>) -> EncodedColu
     EncodedColumn::from_codes(codes, vec!["missing".into(), "observed".into()])
 }
 
+/// The screening verdict on one candidate.
+struct Screen {
+    missing_fraction: f64,
+    /// The selection indicator `R_E`, kept only when selection bias was
+    /// detected.
+    biased: Option<EncodedColumn>,
+}
+
+/// Builds `R_E` and tests it for independence of the outcome and of the
+/// exposure (given the context, which the prepared frame already encodes).
+fn screen(
+    encoded: &EncodedFrame,
+    attribute: &str,
+    outcome: &str,
+    exposure: &str,
+    ci: CiTestConfig,
+) -> Result<Screen> {
+    let col = encoded.column(attribute)?;
+    let missing_fraction = encoded.missing_fraction(attribute)?;
+    if missing_fraction <= 0.0 || missing_fraction >= 1.0 {
+        return Ok(Screen {
+            missing_fraction,
+            biased: None,
+        });
+    }
+    let r = selection_indicator(col);
+    let o = encoded.column(outcome)?;
+    let t = encoded.column(exposure)?;
+    let r_vs_o = infotheory::ci_test_views((&r).into(), o, &[], None, ci);
+    let r_vs_t = infotheory::ci_test_views((&r).into(), t, &[], None, ci);
+    let biased = !r_vs_o.independent || !r_vs_t.independent;
+    Ok(Screen {
+        missing_fraction,
+        biased: biased.then_some(r),
+    })
+}
+
+/// The design of a query's selection-probability models `P(R_E = 1 | X)`.
+///
+/// `X` holds the first [`MAX_PREDICTORS`] fully observed, non-constant
+/// feature columns, their discrete codes used as numeric features (which
+/// is what "the values of the attributes in D" amounts to after binning).
+/// It does not depend on the candidate: a candidate with missing values is
+/// never fully observed, so it is never its own feature. One design thus
+/// serves every biased candidate of the query.
+enum SelectionDesign {
+    /// One design row per data row.
+    Rows(LogisticDesign),
+    /// One design row per observed feature combination, weighted by the
+    /// number of data rows behind it (binomial form, same optimum).
+    /// `group_of` maps each data row to its design row.
+    Grouped {
+        design: LogisticDesign,
+        counts: Vec<f64>,
+        group_of: Vec<usize>,
+    },
+}
+
+impl SelectionDesign {
+    /// Builds the design over `n` rows. The outer error is a frame lookup
+    /// failure; the inner one a design no fit can use (too few rows), which
+    /// leaves every candidate unweighted.
+    fn build(
+        encoded: &EncodedFrame,
+        feature_columns: &[String],
+        n: usize,
+    ) -> Result<std::result::Result<Self, stats::FitError>> {
+        let mut features: Vec<(&str, ColumnView<'_>)> = Vec::new();
+        for f in feature_columns {
+            let fc = encoded.column(f)?;
+            if fc.null_count() > 0 {
+                continue; // only fully observed features are usable
+            }
+            if fc.cardinality() <= 1 {
+                continue;
+            }
+            features.push((f.as_str(), fc));
+            if features.len() >= MAX_PREDICTORS {
+                break; // keep the model small; it only supplies weights
+            }
+        }
+
+        // The features are discrete codes with small cardinalities, so rows
+        // with the same feature combination are interchangeable for the
+        // fit. When their dense cross product is small, group them by
+        // mixed-radix code packing (the entropy kernel's trick) and fit
+        // over the distinct combinations with binomial weights.
+        let dense_cap = infotheory::adaptive_dense_cells(n);
+        let cells = features.iter().try_fold(1usize, |acc, (_, c)| {
+            let next = acc.checked_mul(c.cardinality())?;
+            (next <= dense_cap).then_some(next)
+        });
+        let Some(cells) = cells else {
+            let predictors: Vec<(String, Vec<f64>)> = features
+                .iter()
+                .map(|(name, c)| {
+                    let values = c.codes().iter().map(|&v| f64::from(v)).collect();
+                    (name.to_string(), values)
+                })
+                .collect();
+            return Ok(LogisticDesign::new(n, &predictors).map(SelectionDesign::Rows));
+        };
+        // Materialise each feature's codes once: for sealed columns
+        // `codes()` decodes into an owned buffer, which must not happen
+        // inside the row loop.
+        let feature_codes: Vec<_> = features.iter().map(|(_, c)| c.codes()).collect();
+        let mut cell_of = Vec::with_capacity(n);
+        let mut cell_counts = vec![0usize; cells];
+        for i in 0..n {
+            let mut idx = 0usize;
+            let mut mult = 1usize;
+            for ((_, c), codes) in features.iter().zip(&feature_codes) {
+                idx += codes[i] as usize * mult;
+                mult *= c.cardinality();
+            }
+            cell_of.push(idx);
+            cell_counts[idx] += 1;
+        }
+        let mut group_of_cell = vec![usize::MAX; cells];
+        let mut counts = Vec::new();
+        let mut predictors: Vec<(String, Vec<f64>)> = features
+            .iter()
+            .map(|(name, _)| (name.to_string(), Vec::new()))
+            .collect();
+        for (idx, &count) in cell_counts.iter().enumerate() {
+            if count == 0 {
+                continue;
+            }
+            group_of_cell[idx] = counts.len();
+            counts.push(count as f64);
+            let mut rest = idx;
+            for ((_, c), (_, vals)) in features.iter().zip(predictors.iter_mut()) {
+                vals.push((rest % c.cardinality()) as f64);
+                rest /= c.cardinality();
+            }
+        }
+        let group_of = cell_of.iter().map(|&idx| group_of_cell[idx]).collect();
+        Ok(
+            LogisticDesign::new(counts.len(), &predictors).map(|design| SelectionDesign::Grouped {
+                design,
+                counts,
+                group_of,
+            }),
+        )
+    }
+
+    /// IPW weights `P(R_E = 1) / P(R_E = 1 | x_i)` for each indicator,
+    /// fitted in lockstep; `None` where the fit failed. Weights only matter
+    /// for complete cases; incomplete rows are dropped by the estimators
+    /// regardless of their weight, so they keep 1.0.
+    fn weights(&self, indicators: &[&EncodedColumn]) -> Vec<Option<Vec<f64>>> {
+        let ys: Vec<Vec<f64>> = indicators
+            .iter()
+            .map(|r| r.codes().iter().map(|&c| f64::from(c)).collect())
+            .collect();
+        let (design, proportions, row_weights) = match self {
+            SelectionDesign::Rows(design) => (design, None, None),
+            SelectionDesign::Grouped {
+                design,
+                counts,
+                group_of,
+            } => {
+                // Per combination, the observed share of its rows.
+                let proportions: Vec<Vec<f64>> = ys
+                    .iter()
+                    .map(|y| {
+                        let mut observed = vec![0.0f64; counts.len()];
+                        for (&g, &yi) in group_of.iter().zip(y) {
+                            observed[g] += yi;
+                        }
+                        observed.iter().zip(counts).map(|(o, c)| o / c).collect()
+                    })
+                    .collect();
+                (design, Some(proportions), Some(counts.as_slice()))
+            }
+        };
+        let outcomes: Vec<&[f64]> = proportions
+            .as_ref()
+            .unwrap_or(&ys)
+            .iter()
+            .map(Vec::as_slice)
+            .collect();
+        let fits = logistic_fit_lockstep(design, &outcomes, row_weights, LogisticConfig::default());
+        fits.iter()
+            .zip(&ys)
+            .map(|(fit, y)| {
+                let model = fit.as_ref().ok()?;
+                let marginal = y.iter().sum::<f64>() / y.len() as f64;
+                let p = |row: &[f64]| model.predict_proba(&row[1..]).clamp(0.05, 1.0);
+                let weight = |yi: f64, p: f64| if yi > 0.5 { marginal / p } else { 1.0 };
+                Some(match self {
+                    SelectionDesign::Rows(_) => design
+                        .rows()
+                        .zip(y)
+                        .map(|(row, &yi)| weight(yi, p(row)))
+                        .collect(),
+                    SelectionDesign::Grouped { group_of, .. } => {
+                        let p_of: Vec<f64> = design.rows().map(p).collect();
+                        y.iter()
+                            .zip(group_of)
+                            .map(|(&yi, &g)| weight(yi, p_of[g]))
+                            .collect()
+                    }
+                })
+            })
+            .collect()
+    }
+}
+
+/// Selection-bias analysis of every candidate, in input order:
+///
+/// 1. **screen** each candidate on the pool — build `R_E` and run the two
+///    CI tests;
+/// 2. **build one design** for the query, if any candidate is biased;
+/// 3. **fit the biased candidates in lockstep**, in one chunk per thread.
+fn analyze(
+    encoded: &EncodedFrame,
+    candidates: &[String],
+    outcome: &str,
+    exposure: &str,
+    feature_columns: &[String],
+    ci: CiTestConfig,
+) -> Result<Vec<SelectionBiasInfo>> {
+    let screens =
+        parallel::parallel_map(candidates, |_, c| screen(encoded, c, outcome, exposure, ci))
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?;
+    let biased: Vec<&EncodedColumn> = screens.iter().filter_map(|s| s.biased.as_ref()).collect();
+    let mut weights = Vec::with_capacity(biased.len());
+    if let Some(n_rows) = biased.first().map(|r| r.len()) {
+        match SelectionDesign::build(encoded, feature_columns, n_rows)? {
+            Ok(design) => {
+                let per_chunk = biased.len().div_ceil(parallel::effective_threads().max(1));
+                let chunks: Vec<&[&EncodedColumn]> = biased.chunks(per_chunk).collect();
+                let fitted = parallel::parallel_map_with(&chunks, FanOut::heavy(), |_, chunk| {
+                    design.weights(chunk)
+                });
+                weights.extend(fitted.into_iter().flatten());
+            }
+            // No fit can use the design: every biased candidate stays
+            // unweighted, as it does when its own fit fails.
+            Err(_) => weights.resize(biased.len(), None),
+        }
+    }
+    let mut weights = weights.into_iter();
+    Ok(candidates
+        .iter()
+        .zip(screens)
+        .map(|(c, s)| SelectionBiasInfo {
+            attribute: c.clone(),
+            missing_fraction: s.missing_fraction,
+            biased: s.biased.is_some(),
+            weights: s.biased.and_then(|_| weights.next().flatten()),
+        })
+        .collect())
+}
+
 /// Analyses one candidate attribute for selection bias and, when detected,
-/// estimates IPW weights.
+/// estimates IPW weights: [`analyze_candidates`] for a single attribute,
+/// returning its analysis even when no bias is found.
 ///
 /// * `feature_columns` — fully observed attributes of the input dataset used
 ///   as predictors of the selection probability (their discrete codes are
@@ -84,161 +345,15 @@ pub fn analyze_attribute(
     feature_columns: &[String],
     ci: CiTestConfig,
 ) -> Result<SelectionBiasInfo> {
-    let col = encoded.column(attribute)?;
-    let missing_fraction = encoded.missing_fraction(attribute)?;
-    if missing_fraction <= 0.0 || missing_fraction >= 1.0 {
-        return Ok(SelectionBiasInfo {
-            attribute: attribute.to_string(),
-            missing_fraction,
-            biased: false,
-            weights: None,
-        });
-    }
-    let r = selection_indicator(col);
-    // Independence of the selection indicator from outcome and exposure.
-    let o = encoded.column(outcome)?;
-    let t = encoded.column(exposure)?;
-    let r_vs_o = infotheory::ci_test_views((&r).into(), o, &[], None, ci);
-    let r_vs_t = infotheory::ci_test_views((&r).into(), t, &[], None, ci);
-    let biased = !r_vs_o.independent || !r_vs_t.independent;
-    if !biased {
-        return Ok(SelectionBiasInfo {
-            attribute: attribute.to_string(),
-            missing_fraction,
-            biased,
-            weights: None,
-        });
-    }
-
-    // Fit P(R_E = 1 | X) on fully observed features.
-    let n = r.len();
-    // The indicator is fully observed, so its raw codes are all meaningful.
-    let y: Vec<f64> = r.codes().iter().map(|&c| f64::from(c)).collect();
-    let mut features: Vec<(&str, ColumnView<'_>)> = Vec::new();
-    for f in feature_columns {
-        if f == attribute {
-            continue;
-        }
-        let fc = encoded.column(f)?;
-        if fc.null_count() > 0 {
-            continue; // only fully observed features are usable
-        }
-        if fc.cardinality() <= 1 {
-            continue;
-        }
-        features.push((f.as_str(), fc));
-        if features.len() >= 6 {
-            break; // keep the model small; it only supplies weights
-        }
-    }
-    let marginal = y.iter().sum::<f64>() / n as f64;
-    // Materialise each feature's codes once: for sealed columns `codes()`
-    // decodes into an owned buffer, which must not happen inside the row loop.
-    let feature_codes: Vec<Cow<'_, [u32]>> = features.iter().map(|(_, c)| c.codes()).collect();
-
-    // The features are discrete codes with small cardinalities, so rows with
-    // the same feature combination are interchangeable for the fit. Group
-    // them by mixed-radix code packing (the entropy kernel's trick) and run
-    // IRLS over the distinct combinations with binomial weights — same
-    // optimum, orders of magnitude fewer rows.
-    let dense_cap = infotheory::adaptive_dense_cells(n);
-    let cells = features.iter().try_fold(1usize, |acc, (_, c)| {
-        let next = acc.checked_mul(c.cardinality())?;
-        (next <= dense_cap).then_some(next)
-    });
-    let weights = match cells {
-        Some(cells) => {
-            let mut combo_of = Vec::with_capacity(n);
-            let mut tallies = vec![(0.0f64, 0.0f64); cells]; // (rows, observed)
-            for (i, &yi) in y.iter().enumerate() {
-                let mut idx = 0usize;
-                let mut mult = 1usize;
-                for ((_, c), codes) in features.iter().zip(&feature_codes) {
-                    idx += codes[i] as usize * mult;
-                    mult *= c.cardinality();
-                }
-                combo_of.push(idx);
-                tallies[idx].0 += 1.0;
-                tallies[idx].1 += yi;
-            }
-            let mut grouped_combos = Vec::new();
-            let mut gy = Vec::new();
-            let mut gw = Vec::new();
-            let mut gpred: Vec<(String, Vec<f64>)> = features
-                .iter()
-                .map(|(name, _)| (name.to_string(), Vec::new()))
-                .collect();
-            for (idx, &(count, observed)) in tallies.iter().enumerate() {
-                if count == 0.0 {
-                    continue;
-                }
-                grouped_combos.push(idx);
-                gy.push(observed / count);
-                gw.push(count);
-                let mut rest = idx;
-                for ((_, c), (_, vals)) in features.iter().zip(gpred.iter_mut()) {
-                    vals.push((rest % c.cardinality()) as f64);
-                    rest /= c.cardinality();
-                }
-            }
-            match logistic_fit_weighted(&gy, &gpred, Some(&gw), LogisticConfig::default()) {
-                Ok(model) => {
-                    // Selection probability per combination, then one lookup
-                    // per row. Weights only matter for complete cases;
-                    // incomplete rows are dropped by the estimators
-                    // regardless of their weight.
-                    let mut p_of = vec![1.0f64; cells];
-                    for (gi, &idx) in grouped_combos.iter().enumerate() {
-                        let feats: Vec<f64> = gpred.iter().map(|(_, v)| v[gi]).collect();
-                        p_of[idx] = model.predict_proba(&feats).clamp(0.05, 1.0);
-                    }
-                    let w = (0..n)
-                        .map(|i| {
-                            if y[i] > 0.5 {
-                                marginal / p_of[combo_of[i]]
-                            } else {
-                                1.0
-                            }
-                        })
-                        .collect();
-                    Some(w)
-                }
-                Err(_) => None,
-            }
-        }
-        // Pathological cross product: fall back to the row-level fit.
-        None => {
-            let predictors: Vec<(String, Vec<f64>)> = features
-                .iter()
-                .zip(&feature_codes)
-                .map(|((name, _), codes)| {
-                    (name.to_string(), codes.iter().map(|&v| v as f64).collect())
-                })
-                .collect();
-            match logistic_fit(&y, &predictors, LogisticConfig::default()) {
-                Ok(model) => {
-                    let mut w = Vec::with_capacity(n);
-                    for i in 0..n {
-                        let feats: Vec<f64> = predictors.iter().map(|(_, v)| v[i]).collect();
-                        let p = model.predict_proba(&feats).clamp(0.05, 1.0);
-                        w.push(if y[i] > 0.5 { marginal / p } else { 1.0 });
-                    }
-                    Some(w)
-                }
-                Err(_) => None,
-            }
-        }
-    };
-    Ok(SelectionBiasInfo {
-        attribute: attribute.to_string(),
-        missing_fraction,
-        biased,
-        weights,
-    })
+    let candidates = [attribute.to_string()];
+    analyze(encoded, &candidates, outcome, exposure, feature_columns, ci)?
+        .pop()
+        .ok_or_else(|| MesaError::Internal("no analysis for the attribute".into()))
 }
 
 /// Selection-bias analysis for a whole candidate set. Returns a map from
-/// attribute name to its analysis, including weights where needed.
+/// attribute name to its analysis, including weights where needed, for the
+/// attributes where bias was detected.
 pub fn analyze_candidates(
     encoded: &EncodedFrame,
     candidates: &[String],
@@ -248,23 +363,15 @@ pub fn analyze_candidates(
     policy: MissingPolicy,
     ci: CiTestConfig,
 ) -> Result<HashMap<String, SelectionBiasInfo>> {
-    let mut out = HashMap::with_capacity(candidates.len());
     if policy == MissingPolicy::CompleteCase {
-        return Ok(out);
+        return Ok(HashMap::new());
     }
-    // Each attribute's analysis is independent read-only work over the
-    // encoded frame — fan it out over the persistent pool (adaptive grain:
-    // attributes with expensive IPW fits don't strand the cheap ones).
-    let analyses = crate::parallel::parallel_map(candidates, |_, c| {
-        analyze_attribute(encoded, c, outcome, exposure, feature_columns, ci)
-    });
-    for (c, info) in candidates.iter().zip(analyses) {
-        let info = info?;
-        if info.biased {
-            out.insert(c.clone(), info);
-        }
-    }
-    Ok(out)
+    let analyses = analyze(encoded, candidates, outcome, exposure, feature_columns, ci)?;
+    Ok(analyses
+        .into_iter()
+        .filter(|info| info.biased)
+        .map(|info| (info.attribute.clone(), info))
+        .collect())
 }
 
 /// Combines the IPW weights of several attributes into a single per-row

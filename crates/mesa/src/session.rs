@@ -206,8 +206,9 @@ pub struct SessionLimits {
     /// Budget of the prepared-query memo (entries priced by
     /// [`PreparedQuery::approx_bytes`]).
     pub prepared: CacheBudget,
-    /// Budget of the report memo (entries priced by their debug rendering —
-    /// reports are small).
+    /// Budget of the report memo (entries priced by
+    /// [`MesaReport::approx_bytes`]; IPW weights dominate, 8 bytes per row
+    /// for every weighted attribute).
     pub reports: CacheBudget,
     /// Budget of the extraction cache (entries priced by
     /// [`ColumnExtraction::approx_bytes`]).
@@ -474,16 +475,13 @@ impl<'a> Session<'a> {
 
     fn explain_keyed(&self, fingerprint: &str, query: &AggregateQuery) -> Result<Arc<MesaReport>> {
         let key = fingerprint.to_string();
-        self.reports.get_or_fill(
-            &key,
-            |r| format!("{r:?}").len(),
-            || {
+        self.reports
+            .get_or_fill(&key, MesaReport::approx_bytes, || {
                 parallel::fault_point!("mesa.session.fill_report");
                 parallel::checkpoint();
                 let prepared = self.prepare_keyed(fingerprint, query)?;
                 Mesa::with_config(self.config).explain_prepared(&prepared)
-            },
-        )
+            })
     }
 
     /// Explains a batch of independent queries, returning one result per

@@ -74,6 +74,32 @@ pub struct MesaReport {
     pub n_extracted: usize,
 }
 
+impl MesaReport {
+    /// Approximate resident footprint in bytes, pricing entries for the
+    /// session's report budget: 8 per IPW weight and per responsibility,
+    /// the bytes of every attribute name, and a fixed overhead per report
+    /// and per selection-bias entry. Structural, so nothing is rendered.
+    pub fn approx_bytes(&self) -> usize {
+        let names: usize = self
+            .explanation
+            .attributes
+            .iter()
+            .chain(&self.pruning.kept)
+            .chain(self.pruning.dropped.iter().map(|(a, _)| a))
+            .map(String::len)
+            .sum();
+        let bias: usize = self
+            .selection_bias
+            .iter()
+            .map(|(key, info)| {
+                let weights = info.weights.as_ref().map_or(0, Vec::len);
+                key.len() + info.attribute.len() + weights * 8 + 64
+            })
+            .sum();
+        names + bias + self.explanation.responsibilities.len() * 8 + 256
+    }
+}
+
 /// The MESA system.
 ///
 /// ```
@@ -390,5 +416,48 @@ mod tests {
         // with tau = 0 some refinement always scores above threshold unless
         // the explanation is perfect everywhere; either way the call succeeds
         let _ = groups;
+    }
+
+    #[test]
+    fn report_price_is_structural() {
+        let report_with = |weight: f64| {
+            let info = |name: &str| SelectionBiasInfo {
+                attribute: name.to_string(),
+                missing_fraction: 0.25,
+                biased: true,
+                weights: Some(vec![weight; 5000]),
+            };
+            MesaReport {
+                explanation: Explanation {
+                    attributes: vec!["HDI".into()],
+                    baseline_cmi: 1.0,
+                    explainability: 0.5,
+                    responsibilities: vec![1.0],
+                },
+                pruning: PruningReport {
+                    kept: vec!["HDI".into(), "Gini".into()],
+                    dropped: Vec::new(),
+                },
+                selection_bias: [
+                    ("HDI".to_string(), info("HDI")),
+                    ("Gini".to_string(), info("Gini")),
+                ]
+                .into_iter()
+                .collect(),
+                trace: McimrTrace {
+                    n_evaluations: 2,
+                    n_iterations: 1,
+                    stopped_early: false,
+                },
+                n_candidates: 2,
+                n_extracted: 2,
+            }
+        };
+        let (plain, precise) = (report_with(1.0), report_with(1.234_567_890_123_456_7));
+        assert!(plain.approx_bytes() >= 8 * 2 * 5000);
+        // The price does not depend on how the weights would render: it
+        // renders nothing.
+        assert_ne!(format!("{plain:?}").len(), format!("{precise:?}").len());
+        assert_eq!(plain.approx_bytes(), precise.approx_bytes());
     }
 }

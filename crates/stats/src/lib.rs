@@ -6,8 +6,10 @@
 //! * [`Matrix`] — dense matrices with solve/inverse, backing the regressions.
 //! * [`ols_fit`] — multiple linear regression with t statistics and p-values
 //!   (the paper's LR baseline).
-//! * [`logistic_fit`] — logistic regression via IRLS, used to estimate the
-//!   selection probabilities behind the Inverse Probability Weighting scheme.
+//! * [`logistic_fit_lockstep`] — logistic regression via IRLS, several
+//!   outcomes over one shared [`LogisticDesign`] at once, used to estimate
+//!   the selection probabilities behind the Inverse Probability Weighting
+//!   scheme ([`logistic_fit`] is its one-outcome form).
 //! * [`pearson`] / [`spearman`] — classical correlation measures.
 //!
 //! ```
@@ -28,7 +30,10 @@ pub mod ols;
 pub mod special;
 
 pub use correlation::{mean, pearson, spearman, std_dev, variance};
-pub use logistic::{logistic_fit, logistic_fit_weighted, LogisticConfig, LogisticFit};
+pub use logistic::{
+    logistic_fit, logistic_fit_lockstep, logistic_fit_weighted, LogisticConfig, LogisticDesign,
+    LogisticFit, MAX_PREDICTORS,
+};
 pub use matrix::{Matrix, MatrixError};
 pub use ols::{ols_fit, Coefficient, FitError, OlsFit};
 pub use special::{beta_inc, erf, ln_gamma, normal_cdf, student_t_sf};

@@ -217,6 +217,89 @@ fn reports_are_byte_identical_across_thread_counts() {
     }
 }
 
+/// The IPW weights of one Flights query's surviving candidates under one
+/// thread cap, as `(attribute, weight bits)` sorted by attribute.
+fn ipw_weights_at(cap: usize) -> Vec<(String, Option<Vec<u64>>)> {
+    use mesa_repro::datagen::{
+        build_kg, representative_queries_for, Dataset, KgConfig, World, WorldConfig,
+    };
+    use mesa_repro::mesa::{
+        analyze_candidates, fully_observed_columns, parallel, prune, Mesa, MesaConfig,
+    };
+
+    let world = World::generate(WorldConfig {
+        n_countries: 60,
+        n_cities: 25,
+        n_airlines: 6,
+        n_celebrities: 80,
+        seed: 23,
+    });
+    let graph = build_kg(&world, KgConfig::default());
+    let flights = Dataset::Flights.generate(&world, 4_000, 99).unwrap();
+    let query = &representative_queries_for(Dataset::Flights)[0].query;
+    let config = MesaConfig::default();
+    let prepared = Mesa::with_config(config)
+        .prepare(
+            &flights,
+            query,
+            Some(&graph),
+            Dataset::Flights.extraction_columns(),
+        )
+        .unwrap();
+    let pruning = prune(
+        &prepared.encoded,
+        &prepared.candidates,
+        prepared.exposure(),
+        prepared.outcome(),
+        &config.pruning,
+    )
+    .unwrap();
+    let features = fully_observed_columns(&prepared.frame);
+    let analyses = parallel::with_thread_cap(cap, || {
+        analyze_candidates(
+            &prepared.encoded,
+            &pruning.kept,
+            prepared.outcome(),
+            prepared.exposure(),
+            &features,
+            config.missing,
+            config.pruning.ci,
+        )
+        .unwrap()
+    });
+    let mut out: Vec<(String, Option<Vec<u64>>)> = analyses
+        .into_iter()
+        .map(|(name, info)| {
+            let bits = info
+                .weights
+                .map(|w| w.iter().map(|v| v.to_bits()).collect());
+            (name, bits)
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn ipw_weights_are_identical_across_thread_counts() {
+    let pool = mesa_repro::mesa::parallel::set_threads(4);
+    let reference = ipw_weights_at(1);
+    let weighted = reference.iter().filter(|(_, w)| w.is_some()).count();
+    assert!(
+        weighted >= 4,
+        "the lockstep fits must split into several chunks, got {weighted} weighted attributes"
+    );
+    for cap in [2usize, 4] {
+        if cap > pool {
+            continue; // MESA_THREADS forced a smaller pool for the process
+        }
+        assert!(
+            ipw_weights_at(cap) == reference,
+            "IPW weights must be bit-identical at {cap} threads vs serial"
+        );
+    }
+}
+
 /// The covid workload through a session whose every cache tier holds a
 /// single entry, so each query after the first evicts and re-warms — the
 /// regime where a non-deterministic rebuild would show up as byte drift.

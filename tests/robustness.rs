@@ -109,24 +109,53 @@ fn render(report: &MesaReport) -> String {
     format!("{}\n{:?}", report_summary(report), report.explanation)
 }
 
+/// A 20k-row Flights dataset over the fixture world, generated once.
+fn flights_fixture() -> &'static (DataFrame, KnowledgeGraph) {
+    static FLIGHTS: OnceLock<(DataFrame, KnowledgeGraph)> = OnceLock::new();
+    FLIGHTS.get_or_init(|| {
+        let world = World::generate(WorldConfig {
+            n_countries: 60,
+            n_cities: 25,
+            n_airlines: 6,
+            n_celebrities: 80,
+            seed: 23,
+        });
+        let graph = build_kg(&world, KgConfig::default());
+        let flights = Dataset::Flights.generate(&world, 20_000, 1234).unwrap();
+        (flights, graph)
+    })
+}
+
+fn flights_session() -> Session<'static> {
+    let (flights, graph) = flights_fixture();
+    Session::new(
+        flights,
+        Some(graph),
+        Dataset::Flights.extraction_columns(),
+        MesaConfig::default(),
+    )
+}
+
+/// [`render`] plus the pruning report and every IPW weight's bits, with
+/// selection-bias entries sorted by attribute.
+fn render_with_weights(report: &MesaReport) -> String {
+    let mut bias: Vec<_> = report.selection_bias.iter().collect();
+    bias.sort_by(|a, b| a.0.cmp(b.0));
+    let mut out = format!("{}\n{:?}\n", render(report), report.pruning);
+    for (name, info) in bias {
+        let bits: Option<Vec<u64>> = info
+            .weights
+            .as_ref()
+            .map(|w| w.iter().map(|v| v.to_bits()).collect());
+        out.push_str(&format!("{name} {} {bits:?}\n", info.missing_fraction));
+    }
+    out
+}
+
 #[test]
 fn ten_ms_deadline_on_flights_returns_deadline_exceeded_without_hanging() {
     let _guard = serial();
-    let world = World::generate(WorldConfig {
-        n_countries: 60,
-        n_cities: 25,
-        n_airlines: 6,
-        n_celebrities: 80,
-        seed: 23,
-    });
-    let graph = build_kg(&world, KgConfig::default());
-    let flights = Dataset::Flights.generate(&world, 20_000, 1234).unwrap();
-    let session = Session::new(
-        &flights,
-        Some(&graph),
-        Dataset::Flights.extraction_columns(),
-        MesaConfig::default(),
-    );
+    let session = flights_session();
     let q = representative_queries_for(Dataset::Flights)[0]
         .query
         .clone();
@@ -147,19 +176,44 @@ fn ten_ms_deadline_on_flights_returns_deadline_exceeded_without_hanging() {
     // The failed attempt left nothing behind: the session still serves, and
     // its answer is byte-identical to a session that never saw a deadline.
     let report = session.explain(&q).unwrap();
-    let fresh = Session::new(
-        &flights,
-        Some(&graph),
-        Dataset::Flights.extraction_columns(),
-        MesaConfig::default(),
+    assert_eq!(
+        render(&report),
+        render(&flights_session().explain(&q).unwrap())
     );
-    assert_eq!(render(&report), render(&fresh.explain(&q).unwrap()));
 
     // A memoised result is served even under an already-expired budget.
     let warm = session
         .explain_with_deadline(&q, Duration::from_millis(0))
         .unwrap();
     assert!(Arc::ptr_eq(&report, &warm));
+}
+
+#[test]
+fn one_ms_deadline_after_prepare_cancels_the_explain_stages() {
+    let _guard = serial();
+    let session = flights_session();
+    let q = representative_queries_for(Dataset::Flights)[0]
+        .query
+        .clone();
+    // With the prepared query cached, the budget runs out inside pruning,
+    // the selection-bias fits or MCIMR, whose loops all poll the deadline.
+    session.prepare(&q).unwrap();
+
+    let t0 = Instant::now();
+    let result = session.explain_with_deadline(&q, Duration::from_millis(1));
+    let elapsed = t0.elapsed();
+    assert_eq!(result.unwrap_err(), MesaError::DeadlineExceeded);
+    assert!(
+        elapsed < Duration::from_secs(30),
+        "cancellation must be prompt, took {elapsed:?}"
+    );
+
+    // The same session then answers byte-identically to a fresh one, IPW
+    // weights included.
+    let report = session.explain(&q).unwrap();
+    let fresh = flights_session().explain(&q).unwrap();
+    assert!(!report.selection_bias.is_empty(), "the query runs IPW fits");
+    assert_eq!(render_with_weights(&report), render_with_weights(&fresh));
 }
 
 #[test]
