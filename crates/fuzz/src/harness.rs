@@ -1,6 +1,7 @@
 //! The differential harness: runs one [`Scenario`] through the full
-//! prepare → extract → kernel → MCIMR → session pipeline under crossed
-//! configurations and asserts the workspace's six standing oracle families.
+//! prepare → extract → kernel → prune → MCIMR → session pipeline under
+//! crossed configurations and asserts the workspace's seven standing oracle
+//! families.
 //!
 //! Every oracle compares *renderings* (human summary + `Debug` of the full
 //! explanation, which prints every `f64` bit-exactly) or canonicalized joint
@@ -12,21 +13,26 @@
 use std::borrow::Borrow;
 
 use infotheory::kernel::{accumulate_views, try_accumulate, Accumulated};
-use mesa::{report_summary, Mesa, MesaError, MesaReport};
+use infotheory::EncodedFrame;
+use mesa::{
+    prune, prune_offline, report_summary, Mesa, MesaError, MesaReport, PruneReason, PruningConfig,
+    PruningReport,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tabular::{join, join_rendered, ColumnView, DType, JoinKind, Predicate, SealedColumn};
 
 use crate::scenario::Scenario;
 
-/// The six oracle families, in the order [`check`] runs them.
-pub const ORACLE_FAMILIES: [&str; 6] = [
+/// The seven oracle families, in the order [`check`] runs them.
+pub const ORACLE_FAMILIES: [&str; 7] = [
     "session-identity",
     "join-equivalence",
     "kernel-equivalence",
     "thread-identity",
     "fault-recovery",
     "fingerprint",
+    "prune-decisions",
 ];
 
 /// A deliberate oracle break, used to prove the harness catches violations
@@ -43,6 +49,9 @@ pub enum Sabotage {
     /// Truncate query fingerprints to 6 bytes before comparison, simulating
     /// a lossy cache key.
     Fingerprint,
+    /// Flip one candidate's pruning verdict before comparison, simulating a
+    /// pruner that keeps or drops the wrong attribute.
+    Prune,
 }
 
 /// A violated invariant: which family, and a bounded human-readable detail.
@@ -136,6 +145,7 @@ fn check_family_inner(
         "thread-identity" => thread_identity(scenario).map(|()| true),
         "fault-recovery" => fault_recovery(scenario),
         "fingerprint" => fingerprint_non_aliasing(scenario, sabotage).map(|()| true),
+        "prune-decisions" => prune_decisions(scenario, sabotage).map(|()| true),
         other => Err(fail(
             "fingerprint",
             format!("unknown oracle family {other:?}"),
@@ -512,6 +522,127 @@ fn fingerprint_non_aliasing(scenario: &Scenario, sabotage: Sabotage) -> Result<(
     Ok(())
 }
 
+/// The online pruning phase as an eager, sequential loop: every measure is
+/// computed through its own `EncodedFrame` call, folding its own table, and
+/// both CI tests always run. This is the reference `mesa::prune_online` is
+/// checked against.
+fn reference_prune_online(
+    encoded: &EncodedFrame,
+    candidates: &[String],
+    exposure: &str,
+    outcome: &str,
+    config: &PruningConfig,
+) -> mesa::Result<PruningReport> {
+    let mut report = PruningReport::default();
+    if !config.online {
+        report.kept = candidates.to_vec();
+        return Ok(report);
+    }
+    for name in candidates {
+        let ht_e = encoded.conditional_entropy(exposure, &[name])?;
+        let ho_e = encoded.conditional_entropy(outcome, &[name])?;
+        let eps = config.fd_epsilon;
+        if ht_e <= eps || ho_e <= eps {
+            report
+                .dropped
+                .push((name.clone(), PruneReason::LogicalDependency));
+            continue;
+        }
+        let marginal = encoded.ci_test(outcome, name, &[], None, config.ci)?;
+        let given_t = encoded.ci_test(outcome, name, &[exposure], None, config.ci)?;
+        if marginal.independent && given_t.independent {
+            report
+                .dropped
+                .push((name.clone(), PruneReason::LowRelevance));
+            continue;
+        }
+        report.kept.push(name.clone());
+    }
+    Ok(report)
+}
+
+/// [`mesa::prune`] with the online phase replaced by
+/// [`reference_prune_online`].
+fn reference_prune(
+    encoded: &EncodedFrame,
+    candidates: &[String],
+    exposure: &str,
+    outcome: &str,
+    config: &PruningConfig,
+) -> mesa::Result<PruningReport> {
+    let offline = prune_offline(encoded, candidates, config)?;
+    let online = reference_prune_online(encoded, &offline.kept, exposure, outcome, config)?;
+    let mut dropped = offline.dropped;
+    dropped.extend(online.dropped);
+    Ok(PruningReport {
+        kept: online.kept,
+        dropped,
+    })
+}
+
+/// Flips one verdict of `report`: the first kept candidate is dropped, or,
+/// when nothing was kept, the last dropped one is kept.
+fn flip_one_verdict(report: &mut PruningReport) {
+    if report.kept.is_empty() {
+        if let Some((name, _)) = report.dropped.pop() {
+            report.kept.push(name);
+        }
+    } else {
+        let name = report.kept.remove(0);
+        report.dropped.push((name, PruneReason::LowRelevance));
+    }
+}
+
+/// Oracle 7: pruning decisions. For every query the scenario prepares,
+/// [`mesa::prune`] over the sealed frame, at thread caps 1 and 4, must
+/// report exactly what [`reference_prune`] reports over the unsealed frame:
+/// the same kept candidates in the same order, and the same dropped
+/// candidates with the same [`PruneReason`]s (or the same error).
+fn prune_decisions(scenario: &Scenario, sabotage: Sabotage) -> Result<(), OracleFailure> {
+    const FAMILY: &str = "prune-decisions";
+    parallel::set_threads(4);
+    let mesa = Mesa::with_config(scenario.config);
+    let cols = extraction_cols(scenario);
+    let config = scenario.config.pruning;
+    for (i, q) in scenario.queries.iter().enumerate() {
+        // A query that fails to prepare has no pruning to check; the
+        // session-identity family pins its error.
+        let Ok(prepared) = mesa.prepare(&scenario.df, q, Some(&scenario.graph), &cols) else {
+            continue;
+        };
+        let (exposure, outcome) = (prepared.exposure(), prepared.outcome());
+        let reference = reference_prune(
+            &prepared.encoded,
+            &prepared.candidates,
+            exposure,
+            outcome,
+            &config,
+        );
+        let mut sealed = prepared.encoded.clone();
+        sealed.seal();
+        for cap in [1usize, 4] {
+            let mut got = parallel::with_thread_cap(cap, || {
+                prune(&sealed, &prepared.candidates, exposure, outcome, &config)
+            });
+            if sabotage == Sabotage::Prune {
+                if let Ok(report) = got.as_mut() {
+                    flip_one_verdict(report);
+                }
+            }
+            let (want, got) = (format!("{reference:?}"), format!("{got:?}"));
+            if want != got {
+                return Err(fail(
+                    FAMILY,
+                    format!(
+                        "query {i} ({exposure:?} -> {outcome:?}) at cap {cap}\n--- reference ---\n{want}\n--- prune ---\n{got}"
+                    ),
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,6 +682,31 @@ mod tests {
         let s = Scenario::hand(HandCase::FiveHopChain);
         let failure = check(&s, Sabotage::Fingerprint).expect_err("sabotage must be caught");
         assert_eq!(failure.family, "fingerprint");
+    }
+
+    #[test]
+    fn prune_sabotage_is_caught() {
+        let s = Scenario::hand(HandCase::FiveHopChain);
+        let failure = check(&s, Sabotage::Prune).expect_err("sabotage must be caught");
+        assert_eq!(failure.family, "prune-decisions");
+    }
+
+    #[test]
+    fn flipping_a_verdict_changes_the_report() {
+        let mut kept = PruningReport {
+            kept: vec!["a".into(), "b".into()],
+            dropped: vec![("c".into(), PruneReason::Constant)],
+        };
+        flip_one_verdict(&mut kept);
+        assert_eq!(kept.kept, vec!["b".to_string()]);
+        assert_eq!(kept.dropped.len(), 2);
+        let mut none_kept = PruningReport {
+            kept: Vec::new(),
+            dropped: vec![("c".into(), PruneReason::HighEntropy)],
+        };
+        flip_one_verdict(&mut none_kept);
+        assert_eq!(none_kept.kept, vec!["c".to_string()]);
+        assert!(none_kept.dropped.is_empty());
     }
 
     #[test]

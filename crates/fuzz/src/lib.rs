@@ -6,7 +6,8 @@
 //! Every layer of the system carries a byte-identity or equivalence
 //! invariant — warm ≡ cold ≡ batched sessions, `join` ≡ `join_rendered`,
 //! sealed ≡ dense ≡ sparse kernel counts, thread caps 1/2/4 byte-identical,
-//! fault-injected-then-recovered ≡ fresh, and fingerprint non-aliasing.
+//! fault-injected-then-recovered ≡ fresh, and fingerprint non-aliasing —
+//! and the pruner's decisions must equal an eager, sequential reference.
 //! Historically those were locked only over the three fixed paper datasets;
 //! this crate asserts them over *generated* scenarios instead:
 //!
@@ -14,7 +15,7 @@
 //!   graph + queries + config crossing) from a single `u64` seed, using the
 //!   adversarial generators in `datagen::adversarial`.
 //! - [`harness`] runs one scenario through the full
-//!   prepare → extract → kernel → MCIMR → session pipeline under every
+//!   prepare → extract → kernel → prune → MCIMR → session pipeline under every
 //!   oracle family and reports the first violated invariant.
 //! - [`minimize()`] greedily shrinks a failing scenario (drop queries, halve
 //!   rows, drop columns, truncate the graph) while the same oracle family
@@ -22,8 +23,8 @@
 //!
 //! The `fuzz` binary (`cargo run -p fuzz -- --seed 0xMESA --scenarios 200`)
 //! drives all three and records throughput to `BENCH_fuzz.json`. A
-//! deliberately broken oracle (`--sabotage sealed`) demonstrates end-to-end
-//! that violations are caught and shrunk.
+//! deliberately broken oracle (`--sabotage sealed`, `--sabotage prune`)
+//! demonstrates end-to-end that violations are caught and shrunk.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

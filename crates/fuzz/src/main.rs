@@ -6,6 +6,7 @@
 //! cargo run --release -p fuzz -- --seed 0xMESA --scenarios 200
 //! cargo run --release -p fuzz -- --seed <failing> --scenarios 1   # replay
 //! cargo run --release -p fuzz -- --sabotage sealed --scenarios 5  # self-test
+//! cargo run --release -p fuzz -- --sabotage prune --scenarios 5   # self-test
 //! ```
 //!
 //! `--seed` accepts a decimal integer, a `0x…` hex integer, or — for
@@ -52,7 +53,7 @@ fn parse_seed(s: &str) -> u64 {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fuzz [--seed S] [--scenarios N] [--budget-ms M] [--sabotage none|sealed|fingerprint]"
+        "usage: fuzz [--seed S] [--scenarios N] [--budget-ms M] [--sabotage none|sealed|fingerprint|prune]"
     );
     std::process::exit(2);
 }
@@ -81,6 +82,7 @@ fn parse_args() -> Args {
                     "none" => Sabotage::None,
                     "sealed" => Sabotage::Sealed,
                     "fingerprint" => Sabotage::Fingerprint,
+                    "prune" => Sabotage::Prune,
                     _ => usage(),
                 }
             }

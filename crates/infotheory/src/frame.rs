@@ -9,6 +9,7 @@ use std::collections::HashMap;
 
 use tabular::{ColumnView, DataFrame, EncodedColumn, Encoding, Result, SealedColumn, TabularError};
 
+use crate::contingency::JointTable;
 use crate::independence::{ci_test_views, CiTestConfig, CiTestResult};
 use crate::measures;
 
@@ -259,6 +260,16 @@ impl EncodedFrame {
         ))
     }
 
+    /// The weighted joint table over the named columns, with dimensions in
+    /// the order of `names`. One fold serves every measure that reads this
+    /// column set: [`measures::cmi_of_joint`],
+    /// [`ci_test_joint`](crate::independence::ci_test_joint) and the
+    /// table's own entropies and marginals. An unknown column, or weights
+    /// that are not one finite, non-negative entry per row, is an error.
+    pub fn joint(&self, names: &[&str], weights: Option<&[f64]>) -> Result<JointTable> {
+        JointTable::try_build_views(&self.columns_for(names)?, weights)
+    }
+
     /// Conditional-independence G-test of `X ⫫ Y | Z`.
     pub fn ci_test(
         &self,
@@ -382,6 +393,22 @@ mod tests {
         assert!(ef
             .ci_test("t", "missing", &[], None, CiTestConfig::default())
             .is_err());
+    }
+
+    #[test]
+    fn joint_serves_the_ci_test_and_conditional_entropy() {
+        let ef = frame();
+        let config = CiTestConfig::default();
+        let joint = ef.joint(&["o", "z"], None).unwrap();
+        let from_joint = crate::independence::ci_test_joint(&joint, 0, config);
+        assert_eq!(from_joint, ef.ci_test("o", "z", &[], None, config).unwrap());
+        let h_o_given_z = (joint.entropy() - joint.marginal(&[1]).entropy()).max(0.0);
+        assert_eq!(
+            h_o_given_z.to_bits(),
+            ef.conditional_entropy("o", &["z"]).unwrap().to_bits()
+        );
+        assert!(ef.joint(&["o", "missing"], None).is_err());
+        assert!(ef.joint(&["o"], Some(&[1.0])).is_err());
     }
 
     #[test]

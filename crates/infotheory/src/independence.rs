@@ -1,4 +1,4 @@
-//! Conditional-independence testing and approximate functional dependencies.
+//! Conditional-independence testing.
 //!
 //! MESA uses a conditional-independence (CI) test in three places:
 //!
@@ -15,7 +15,7 @@
 use tabular::{ColumnView, EncodedColumn};
 
 use crate::contingency::JointTable;
-use crate::measures::conditional_mutual_information_views;
+use crate::measures::cmi_of_joint;
 use crate::special::chi2_sf;
 
 /// The outcome of a conditional-independence test.
@@ -87,9 +87,15 @@ pub fn ci_test_views(
     all.push(x);
     all.push(y);
     all.extend_from_slice(z);
-    let joint = JointTable::build_views(&all, weights);
+    ci_test_joint(&JointTable::build_views(&all, weights), z.len(), config)
+}
+
+/// The G-test of `X ⫫ Y | Z` read off one joint table whose dimensions are
+/// `[X, Y, Z1, ..., Zn_z]`. The statistic, the degrees of freedom and the
+/// CMI all come from this one table, so the rows are folded once; a caller
+/// that already built the table for another measure reuses it as is.
+pub fn ci_test_joint(joint: &JointTable, n_z: usize, config: CiTestConfig) -> CiTestResult {
     let n = joint.complete_cases();
-    let cmi = conditional_mutual_information_views(x, y, z, weights);
     if n == 0 {
         return CiTestResult {
             cmi: 0.0,
@@ -100,13 +106,14 @@ pub fn ci_test_views(
             independent: true,
         };
     }
-    let levels_x = observed_levels(&joint, 0).max(1);
-    let levels_y = observed_levels(&joint, 1).max(1);
-    let levels_z: usize = if z.is_empty() {
+    let cmi = cmi_of_joint(joint, n_z);
+    let levels_x = observed_levels(joint, 0).max(1);
+    let levels_y = observed_levels(joint, 1).max(1);
+    let levels_z: usize = if n_z == 0 {
         1
     } else {
         joint
-            .marginal(&(2..all.len()).collect::<Vec<_>>())
+            .marginal(&(2..2 + n_z).collect::<Vec<_>>())
             .n_cells()
             .max(1)
     };
@@ -123,30 +130,6 @@ pub fn ci_test_views(
         n,
         independent,
     }
-}
-
-/// Convenience wrapper returning only the independence verdict.
-pub fn is_conditionally_independent(
-    x: &EncodedColumn,
-    y: &EncodedColumn,
-    z: &[&EncodedColumn],
-    weights: Option<&[f64]>,
-) -> bool {
-    ci_test(x, y, z, weights, CiTestConfig::default()).independent
-}
-
-/// Tests the approximate functional dependency `X ⇒ Y`: holds when the
-/// conditional entropy `H(Y | X)` is at most `epsilon` bits.
-pub fn approx_functional_dependency(x: &EncodedColumn, y: &EncodedColumn, epsilon: f64) -> bool {
-    crate::measures::conditional_entropy(y, &[x], None) <= epsilon
-}
-
-/// Tests whether two attributes are *logically dependent* in the paper's
-/// sense: `H(Y|X) ≈ 0` **and** `H(X|Y) ≈ 0` (they determine each other, like
-/// `Country` and `CountryCode`). Conditioning on such an attribute would
-/// mechanically drive the CMI to zero (Lemma A.2), so MESA prunes them.
-pub fn logically_equivalent(x: &EncodedColumn, y: &EncodedColumn, epsilon: f64) -> bool {
-    approx_functional_dependency(x, y, epsilon) && approx_functional_dependency(y, x, epsilon)
 }
 
 #[cfg(test)]
@@ -195,8 +178,9 @@ mod tests {
         let z = repeat(&["u", "v", "u", "v", "w", "w"], 40);
         let x = z.clone();
         let y = z.clone();
-        assert!(!is_conditionally_independent(&x, &y, &[], None));
-        assert!(is_conditionally_independent(&x, &y, &[&z], None));
+        let config = CiTestConfig::default();
+        assert!(!ci_test(&x, &y, &[], None, config).independent);
+        assert!(ci_test(&x, &y, &[&z], None, config).independent);
     }
 
     #[test]
@@ -247,23 +231,6 @@ mod tests {
         assert!(with_floor.independent);
         // the raw test may or may not reject; the floor must make the verdict independent
         assert!(with_floor.cmi <= strict.cmi + 1e-12);
-    }
-
-    #[test]
-    fn functional_dependency_detection() {
-        // CountryCode -> Country (1:1 mapping)
-        let code = repeat(&["DE", "US", "FR"], 30);
-        let country = repeat(&["Germany", "USA", "France"], 30);
-        assert!(approx_functional_dependency(&code, &country, 0.01));
-        assert!(approx_functional_dependency(&country, &code, 0.01));
-        assert!(logically_equivalent(&code, &country, 0.01));
-
-        // Continent -> determined by country, but not vice versa
-        let country2 = repeat(&["DE", "FR", "US", "MX"], 30);
-        let continent = repeat(&["EU", "EU", "NA", "NA"], 30);
-        assert!(approx_functional_dependency(&country2, &continent, 0.01));
-        assert!(!approx_functional_dependency(&continent, &country2, 0.01));
-        assert!(!logically_equivalent(&country2, &continent, 0.01));
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! Weighted plug-in estimators for the information-theoretic quantities the
 //! MESA system is built on: entropy, conditional entropy, mutual information,
 //! conditional mutual information (the paper's partial-correlation measure),
-//! interaction information, conditional-independence tests, and approximate
-//! functional dependencies.
+//! interaction information, and conditional-independence tests.
 //!
 //! All estimators operate on the discrete [`tabular::EncodedColumn`]
 //! representation (numeric attributes are binned first, see
@@ -41,17 +40,14 @@ pub mod special;
 
 pub use contingency::JointTable;
 pub use frame::{ColumnEncodingReport, EncodedFrame};
-pub use independence::{
-    approx_functional_dependency, ci_test, ci_test_views, is_conditionally_independent,
-    logically_equivalent, CiTestConfig, CiTestResult,
-};
+pub use independence::{ci_test, ci_test_joint, ci_test_views, CiTestConfig, CiTestResult};
 pub use kernel::{
     accumulate_views, adaptive_dense_cells, complete_case_mask, complete_case_mask_views,
     dense_cell_count, dense_cell_count_views, FixedState, SparseCounts, DEFAULT_DENSE_CELLS,
     DENSE_CELLS_FLOOR, DENSE_CELLS_PER_ROW,
 };
 pub use measures::{
-    conditional_entropy, conditional_entropy_views, conditional_mutual_information,
+    cmi_of_joint, conditional_entropy, conditional_entropy_views, conditional_mutual_information,
     conditional_mutual_information_views, entropy, entropy_view, interaction_information,
     interaction_information_views, joint_entropy, joint_entropy_views, mutual_information,
     mutual_information_views, normalized_mutual_information, normalized_mutual_information_views,

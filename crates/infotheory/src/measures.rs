@@ -77,10 +77,7 @@ pub fn mutual_information_views(
     y: ColumnView<'_>,
     weights: Option<&[f64]>,
 ) -> f64 {
-    let joint = JointTable::build_views(&[x, y], weights);
-    let hx = joint.marginal(&[0]).entropy();
-    let hy = joint.marginal(&[1]).entropy();
-    (hx + hy - joint.entropy()).max(0.0)
+    cmi_of_joint(&JointTable::build_views(&[x, y], weights), 0)
 }
 
 /// Conditional mutual information
@@ -108,18 +105,28 @@ pub fn conditional_mutual_information_views(
     z: &[ColumnView<'_>],
     weights: Option<&[f64]>,
 ) -> f64 {
-    if z.is_empty() {
-        return mutual_information_views(x, y, weights);
-    }
     let mut all: Vec<ColumnView<'_>> = Vec::with_capacity(z.len() + 2);
     all.push(x);
     all.push(y);
     all.extend_from_slice(z);
-    let joint = JointTable::build_views(&all, weights);
+    cmi_of_joint(&JointTable::build_views(&all, weights), z.len())
+}
+
+/// `I(X; Y | Z)` read off one joint table whose dimensions are
+/// `[X, Y, Z1, ..., Zn_z]`: the arithmetic behind
+/// [`conditional_mutual_information`] (and, with `n_z == 0`,
+/// [`mutual_information`]) without building the table again, so a caller
+/// that already holds the table — the CI test — folds the rows once.
+pub fn cmi_of_joint(joint: &JointTable, n_z: usize) -> f64 {
+    if n_z == 0 {
+        let hx = joint.marginal(&[0]).entropy();
+        let hy = joint.marginal(&[1]).entropy();
+        return (hx + hy - joint.entropy()).max(0.0);
+    }
     if joint.is_empty() {
         return 0.0;
     }
-    let z_dims: Vec<usize> = (2..all.len()).collect();
+    let z_dims: Vec<usize> = (2..2 + n_z).collect();
     let xz_dims: Vec<usize> = std::iter::once(0).chain(z_dims.iter().copied()).collect();
     let yz_dims: Vec<usize> = std::iter::once(1).chain(z_dims.iter().copied()).collect();
     let h_xyz = joint.entropy();

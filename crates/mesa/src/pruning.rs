@@ -12,8 +12,17 @@
 //!   mechanically zero the CMI, Lemma A.2), and attributes with low
 //!   individual relevance (`O ⫫ E | C` and `O ⫫ E | T, C`), which the paper's
 //!   key assumption says cannot participate in a good explanation.
+//!
+//! The online phase folds as few tables as its verdict needs. A candidate
+//! `E` costs one `[T, E]` table for `H(T|E)` and one `[O, E]` table that
+//! serves both `H(O|E)` and the marginal test `O ⫫ E`. The conditional
+//! test `O ⫫ E | T` folds a third table only when the marginal test says
+//! independent, because only then can it change the verdict. Candidates
+//! are independent of one another, so they fan out over the persistent
+//! pool; the report keeps input order either way.
 
-use infotheory::{CiTestConfig, EncodedFrame};
+use infotheory::{ci_test_joint, CiTestConfig, EncodedFrame, JointTable};
+use parallel::parallel_map;
 
 use crate::error::Result;
 
@@ -160,7 +169,9 @@ pub fn prune_offline(
     Ok(report)
 }
 
-/// Runs the online (query-specific) pruning phase over `candidates`.
+/// Runs the online (query-specific) pruning phase over `candidates`. The
+/// candidates are judged in parallel; the report lists them in input order,
+/// and the first error in input order is returned.
 pub fn prune_online(
     encoded: &EncodedFrame,
     candidates: &[String],
@@ -173,34 +184,52 @@ pub fn prune_online(
         report.kept = candidates.to_vec();
         return Ok(report);
     }
-    for name in candidates {
-        // Logical dependency: the candidate (approximately) functionally
-        // determines the exposure or the outcome. Conditioning on such an
-        // attribute drives the CMI to zero mechanically (Lemma A.2 — e.g.
-        // CountryCode ⇒ Country, or Country ⇒ Continent when the exposure is
-        // the continent), so it is discarded.
-        let ht_e = encoded.conditional_entropy(exposure, &[name])?;
-        let ho_e = encoded.conditional_entropy(outcome, &[name])?;
-        let eps = config.fd_epsilon;
-        if ht_e <= eps || ho_e <= eps {
-            report
-                .dropped
-                .push((name.clone(), PruneReason::LogicalDependency));
-            continue;
+    let verdicts = parallel_map(candidates, |_, name| {
+        online_verdict(encoded, name, exposure, outcome, config)
+    });
+    for (name, verdict) in candidates.iter().zip(verdicts) {
+        match verdict? {
+            Some(reason) => report.dropped.push((name.clone(), reason)),
+            None => report.kept.push(name.clone()),
         }
-        // Low relevance: O ⫫ E | C and O ⫫ E | T, C. The context C is already
-        // baked into the prepared frame.
-        let marginal = encoded.ci_test(outcome, name, &[], None, config.ci)?;
-        let given_t = encoded.ci_test(outcome, name, &[exposure], None, config.ci)?;
-        if marginal.independent && given_t.independent {
-            report
-                .dropped
-                .push((name.clone(), PruneReason::LowRelevance));
-            continue;
-        }
-        report.kept.push(name.clone());
     }
     Ok(report)
+}
+
+/// `H(X | E)` of a table over `[X, E]`, the expression
+/// `infotheory::conditional_entropy_views` evaluates.
+fn conditional_entropy(joint: &JointTable) -> f64 {
+    (joint.entropy() - joint.marginal(&[1]).entropy()).max(0.0)
+}
+
+/// The online phase's verdict on one candidate: why it is dropped, or
+/// `None` when it is kept.
+fn online_verdict(
+    encoded: &EncodedFrame,
+    name: &str,
+    exposure: &str,
+    outcome: &str,
+    config: &PruningConfig,
+) -> Result<Option<PruneReason>> {
+    // Logical dependency: the candidate (approximately) functionally
+    // determines the exposure or the outcome. Conditioning on such an
+    // attribute drives the CMI to zero mechanically (Lemma A.2 — e.g.
+    // CountryCode ⇒ Country, or Country ⇒ Continent when the exposure is
+    // the continent), so it is discarded.
+    let ht_e = conditional_entropy(&encoded.joint(&[exposure, name], None)?);
+    let outcome_joint = encoded.joint(&[outcome, name], None)?;
+    let ho_e = conditional_entropy(&outcome_joint);
+    if ht_e <= config.fd_epsilon || ho_e <= config.fd_epsilon {
+        return Ok(Some(PruneReason::LogicalDependency));
+    }
+    // Low relevance: O ⫫ E | C and O ⫫ E | T, C. The context C is already
+    // baked into the prepared frame. A dependent marginal test keeps the
+    // candidate whatever the conditional test says.
+    if !ci_test_joint(&outcome_joint, 0, config.ci).independent {
+        return Ok(None);
+    }
+    let given_t = encoded.ci_test(outcome, name, &[exposure], None, config.ci)?;
+    Ok(given_t.independent.then_some(PruneReason::LowRelevance))
 }
 
 /// Runs both phases and merges the reports.

@@ -1,13 +1,13 @@
 //! Permanent tier-1 replay of fuzzer-surfaced and hand-built scenarios.
 //!
-//! Every seed here runs the full differential harness — all six oracle
-//! families over the complete prepare → extract → kernel → MCIMR → session
-//! pipeline. The hand cases pin known-nasty shapes (an all-null column, a
-//! cardinality-1 join key, a 5-hop extraction chain); the fixed seeds pin a
-//! spread of generated scenarios so oracle regressions surface in `cargo
-//! test` without running the fuzz binary. When the fuzzer finds a new
-//! counterexample, append its minimized seed to `REGRESSION_SEEDS` with a
-//! comment saying what it caught.
+//! Every seed here runs the full differential harness — all seven oracle
+//! families over the complete prepare → extract → kernel → prune → MCIMR →
+//! session pipeline. The hand cases pin known-nasty shapes (an all-null
+//! column, a cardinality-1 join key, a 5-hop extraction chain); the fixed
+//! seeds pin a spread of generated scenarios so oracle regressions surface
+//! in `cargo test` without running the fuzz binary. When the fuzzer finds a
+//! new counterexample, append its minimized seed to `REGRESSION_SEEDS` with
+//! a comment saying what it caught.
 
 use mesa_repro::fuzz::{check, HandCase, Sabotage, Scenario, ORACLE_FAMILIES};
 
