@@ -1,6 +1,5 @@
 //! Appendix experiment: the work-sharing runtime — a thread-scaling sweep
-//! over the reproduction's parallel hot paths, plus a pool-vs-scoped-thread
-//! microbenchmark.
+//! over the reproduction's parallel hot paths, plus a pool microbenchmark.
 //!
 //! Emits `BENCH_parallel.json`; the committed copy is the canonical
 //! baseline for the persistent-pool runtime. Each entry records the
@@ -23,18 +22,17 @@
 //!   through fresh sessions (batch-level fan-out with the pipelines' own
 //!   fan-outs nested beneath it — the composition case).
 //!
-//! The `micro/…` entries compare the pool directly against the retained
-//! pre-PR scoped-thread chunker ([`parallel::scoped_map`]) on synthetic
-//! uniform and skewed (one 100× item) workloads — `micro/*/pool/t*` vs
-//! `micro/*/scoped/t*` at equal thread counts isolates runtime overhead
-//! from workload effects; at 1 thread both degenerate to the same serial
-//! loop, which is the ≤5%-regression gate the acceptance criteria name.
+//! The `micro/…` entries time the pool alone on synthetic uniform and
+//! skewed (one 100× item) workloads, isolating runtime overhead and load
+//! balance from workload effects. The committed `BENCH_parallel.json`
+//! predates the removal of the scoped-thread chunker the pool replaced and
+//! still carries its `micro/*/scoped/t*` timings as the comparison record.
 
 use bench::report::BenchReport;
 use bench::{prepare_workload, DatasetSessions, ExperimentData, Scale};
 use datagen::{representative_queries, Dataset};
 use mesa::Mesa;
-use parallel::{effective_threads, parallel_map, scoped_map, set_threads, with_thread_cap};
+use parallel::{effective_threads, parallel_map, set_threads, with_thread_cap};
 
 /// One synthetic work item: a short deterministic spin whose cost scales
 /// with `weight` (black-boxed so the whole loop cannot fold away).
@@ -61,10 +59,10 @@ fn main() {
         .filter(|&c| c <= pool_threads)
         .collect();
 
-    // -- Microbenchmark: pool vs the retained scoped-thread reference ----
+    // -- Microbenchmark: the pool on uniform and skewed items ------------
     let uniform: Vec<u64> = vec![1; 512];
     let mut skewed: Vec<u64> = vec![1; 512];
-    skewed[0] = 100; // one item is 100× the rest — the static-chunk killer
+    skewed[0] = 100; // one item is 100× the rest: static chunking would stall on it
     for &cap in &caps {
         with_thread_cap(cap, || {
             let t = effective_threads();
@@ -76,25 +74,9 @@ fn main() {
                     std::hint::black_box(parallel_map(&uniform, |_, &w| spin(w)));
                 },
             );
-            report.time(
-                &format!("micro/uniform/scoped/t{t}"),
-                uniform.len(),
-                5,
-                || {
-                    std::hint::black_box(scoped_map(&uniform, t, |_, &w| spin(w)));
-                },
-            );
             report.time(&format!("micro/skewed/pool/t{t}"), skewed.len(), 5, || {
                 std::hint::black_box(parallel_map(&skewed, |_, &w| spin(w)));
             });
-            report.time(
-                &format!("micro/skewed/scoped/t{t}"),
-                skewed.len(),
-                5,
-                || {
-                    std::hint::black_box(scoped_map(&skewed, t, |_, &w| spin(w)));
-                },
-            );
         });
     }
 

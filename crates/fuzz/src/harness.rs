@@ -4,23 +4,27 @@
 //! families.
 //!
 //! Every oracle compares *renderings* (human summary + `Debug` of the full
-//! explanation, which prints every `f64` bit-exactly) or canonicalized joint
-//! counts compared bitwise, so "equivalent" always means byte-identical.
+//! explanation, which prints every `f64` bit-exactly) or joint counts
+//! compared bitwise, cell by cell in iteration order, so "equivalent" always
+//! means byte-identical.
 //! Deterministic pipeline **errors** are rendered too: an adversarial
 //! scenario is allowed to fail a query, but it must fail it with the same
 //! error on every path.
 
 use std::borrow::Borrow;
 
-use infotheory::kernel::{accumulate_views, try_accumulate, Accumulated};
-use infotheory::EncodedFrame;
+use infotheory::kernel::{try_accumulate, Accumulated, JointCounts};
+use infotheory::{EncodedFrame, SparseCounts};
 use mesa::{
     prune, prune_offline, report_summary, Mesa, MesaError, MesaReport, PruneReason, PruningConfig,
     PruningReport,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tabular::{join, join_rendered, ColumnView, DType, JoinKind, Predicate, SealedColumn};
+use tabular::{
+    join, join_rendered, Bitmap, ColumnView, DType, EncodedColumn, JoinKind, Predicate,
+    SealedColumn,
+};
 
 use crate::scenario::Scenario;
 
@@ -272,26 +276,84 @@ fn join_equivalence(scenario: &Scenario) -> Result<(), OracleFailure> {
     Ok(())
 }
 
-/// Canonical form of accumulated joint counts: observed cells sorted by key
-/// with bit-exact weights, plus total weight bits and complete-case count.
-fn canonical(acc: &Accumulated) -> (Vec<(Vec<u32>, u64)>, u64, usize) {
-    let mut cells: Vec<(Vec<u32>, u64)> = acc
+/// The per-row fold the kernel's segment and block folds must reproduce:
+/// every complete row with a non-zero weight, in ascending row order, adds
+/// its weight to its cell — in the dense mixed-radix layout when the cross
+/// product has at most `dense_cells` cells, in the sparse map otherwise.
+/// The caller passes columns of equal length and valid weights.
+fn reference_accumulate(
+    columns: &[&EncodedColumn],
+    weights: Option<&[f64]>,
+    dense_cells: usize,
+) -> Accumulated {
+    let n = columns.first().map_or(0, |c| c.len());
+    let mut mask = Bitmap::new_all_set(n);
+    for c in columns {
+        mask.intersect_with(c.validity());
+    }
+    let radices: Vec<usize> = columns.iter().map(|c| c.cardinality().max(1)).collect();
+    let cells = radices.iter().try_fold(1usize, |cells, &r| {
+        cells.checked_mul(r).filter(|&c| c <= dense_cells)
+    });
+    let mut dense = cells.map(|cells| vec![0.0f64; cells]);
+    let mut sparse = SparseCounts::default();
+    let (mut total, mut complete_cases) = (0.0f64, 0usize);
+    for row in mask.iter_set() {
+        let w = weights.map_or(1.0, |w| w[row]);
+        if w == 0.0 {
+            continue;
+        }
+        let key: Vec<u32> = columns.iter().map(|c| c.codes()[row]).collect();
+        match &mut dense {
+            Some(counts) => {
+                let idx = key
+                    .iter()
+                    .zip(&radices)
+                    .rev()
+                    .fold(0, |idx, (&code, &r)| idx * r + code as usize);
+                counts[idx] += w;
+            }
+            None => *sparse.entry(key).or_insert(0.0) += w,
+        }
+        total += w;
+        complete_cases += 1;
+    }
+    let counts = match dense {
+        Some(counts) => JointCounts::Dense { counts, radices },
+        None => JointCounts::Sparse { counts: sparse },
+    };
+    Accumulated {
+        counts,
+        total,
+        complete_cases,
+    }
+}
+
+/// Everything observable about accumulated joint counts, bit for bit: the
+/// observed cells in iteration order (which fixes the summation order of
+/// every entropy read off them), the total weight and the complete cases.
+type Exact = (Vec<(Vec<u32>, u64)>, u64, usize);
+
+fn exact(acc: &Accumulated) -> Exact {
+    let cells = acc
         .counts
         .iter_keyed()
         .map(|(k, w)| (k, w.to_bits()))
         .collect();
-    cells.sort();
     (cells, acc.total.to_bits(), acc.complete_cases)
 }
 
-/// Oracle 3: sealed ≡ dense ≡ sparse kernel counts, bitwise. Samples a few
-/// 2–3 column tuples from the frame and accumulates each through the dense
-/// path (huge cell budget), the sparse path (zero budget), and the sealed
-/// path (both budgets), unweighted and — for a seed-chosen half of the
-/// scenarios — with a zero-containing weight vector.
+/// Oracle 3: kernel ≡ per-row reference, bitwise and in order. Samples a
+/// few 2–3 column tuples from the frame and folds each through the kernel
+/// over plain views and over sealed views, at a dense budget (huge cell
+/// budget) and a sparse one (zero budget), unweighted and — for a
+/// seed-chosen half of the scenarios — with a zero-containing weight
+/// vector. Each fold must equal [`reference_accumulate`] at the same
+/// budget, and the two budgets must hold the same cells (the crossover
+/// itself must be invisible).
 fn kernel_equivalence(scenario: &Scenario, sabotage: Sabotage) -> Result<(), OracleFailure> {
     const FAMILY: &str = "kernel-equivalence";
-    let encoded: Vec<tabular::EncodedColumn> = scenario.df.columns().map(|c| c.encode()).collect();
+    let encoded: Vec<EncodedColumn> = scenario.df.columns().map(|c| c.encode()).collect();
     if encoded.len() < 2 {
         return Ok(());
     }
@@ -315,56 +377,60 @@ fn kernel_equivalence(scenario: &Scenario, sabotage: Sabotage) -> Result<(), Ora
                 idx.push(i);
             }
         }
-        let refs: Vec<&tabular::EncodedColumn> = idx.iter().map(|&i| &encoded[i]).collect();
+        let refs: Vec<&EncodedColumn> = idx.iter().map(|&i| &encoded[i]).collect();
         let sealed: Vec<SealedColumn> = refs.iter().map(|e| e.seal()).collect();
-        let views: Vec<ColumnView<'_>> = sealed.iter().map(ColumnView::from).collect();
+        let plain_views: Vec<ColumnView<'_>> = refs.iter().map(|&c| c.into()).collect();
+        let sealed_views: Vec<ColumnView<'_>> = sealed.iter().map(ColumnView::from).collect();
 
+        let mut per_budget: Vec<Exact> = Vec::new();
         for (budget_name, budget) in [("dense", 1usize << 22), ("sparse", 0usize)] {
-            let plain = match try_accumulate(&refs, weights.as_deref(), budget) {
-                Ok(acc) => acc,
-                Err(e) => {
+            let reference = exact(&reference_accumulate(&refs, weights.as_deref(), budget));
+            for (state, views) in [("plain", &plain_views), ("sealed", &sealed_views)] {
+                let mut got = match try_accumulate(views, weights.as_deref(), budget) {
+                    Ok(acc) => exact(&acc),
+                    Err(e) => {
+                        return Err(fail(
+                            FAMILY,
+                            format!("{state} {budget_name} fold rejected valid input: {e:?}"),
+                        ))
+                    }
+                };
+                if sabotage == Sabotage::Sealed && state == "sealed" {
+                    match got.0.first_mut() {
+                        Some(cell) => cell.1 = f64::from_bits(cell.1).mul_add(1.0, 1.0).to_bits(),
+                        None => got.0.push((vec![0; size], 1.0f64.to_bits())),
+                    }
+                }
+                if got != reference {
                     return Err(fail(
                         FAMILY,
-                        format!("accumulate({budget_name}) rejected valid input: {e:?}"),
-                    ))
-                }
-            };
-            let via_sealed = accumulate_views(&views, weights.as_deref(), budget);
-            let reference = canonical(&plain);
-            let mut sealed_canonical = canonical(&via_sealed);
-            if sabotage == Sabotage::Sealed {
-                match sealed_canonical.0.first_mut() {
-                    Some(cell) => cell.1 = f64::from_bits(cell.1).mul_add(1.0, 1.0).to_bits(),
-                    None => sealed_canonical.0.push((vec![0; size], 1.0f64.to_bits())),
+                        format!(
+                            "{state} {budget_name} fold != row-loop reference for columns {idx:?} (weights: {}): {} vs {} cells, totals {:x} vs {:x}, complete cases {} vs {}",
+                            weights.is_some(),
+                            got.0.len(),
+                            reference.0.len(),
+                            got.1,
+                            reference.1,
+                            got.2,
+                            reference.2,
+                        ),
+                    ));
                 }
             }
-            if reference != sealed_canonical {
-                return Err(fail(
-                    FAMILY,
-                    format!(
-                        "sealed != {budget_name} for columns {:?} (weights: {}): {} vs {} cells, totals {:x} vs {:x}",
-                        idx,
-                        weights.is_some(),
-                        reference.0.len(),
-                        sealed_canonical.0.len(),
-                        reference.1,
-                        sealed_canonical.1,
-                    ),
-                ));
-            }
+            per_budget.push(reference);
         }
-
-        // Dense and sparse budgets of the plain path must agree with each
-        // other too (the crossover itself must be invisible).
-        let dense = canonical(&try_accumulate(&refs, weights.as_deref(), 1 << 22).unwrap());
-        let sparse = canonical(&try_accumulate(&refs, weights.as_deref(), 0).unwrap());
-        if dense != sparse {
+        // The layouts iterate in different orders, so the crossover check
+        // compares the budgets' cells sorted by key.
+        for cells in per_budget.iter_mut() {
+            cells.0.sort();
+        }
+        if per_budget[0] != per_budget[1] {
             return Err(fail(
                 FAMILY,
                 format!(
                     "dense != sparse for columns {idx:?}: {} vs {} cells",
-                    dense.0.len(),
-                    sparse.0.len()
+                    per_budget[0].0.len(),
+                    per_budget[1].0.len()
                 ),
             ));
         }
@@ -377,7 +443,7 @@ fn kernel_equivalence(scenario: &Scenario, sabotage: Sabotage) -> Result<(), Ora
 /// cap; caps above the actual pool size are skipped (CI is single-core).
 fn thread_identity(scenario: &Scenario) -> Result<(), OracleFailure> {
     const FAMILY: &str = "thread-identity";
-    let pool = mesa::parallel::set_threads(4);
+    let pool = parallel::set_threads(4);
     let render_all = || {
         let mesa = Mesa::with_config(scenario.config);
         let cols = extraction_cols(scenario);
@@ -393,12 +459,12 @@ fn thread_identity(scenario: &Scenario) -> Result<(), OracleFailure> {
         }
         out
     };
-    let reference = mesa::parallel::with_thread_cap(1, render_all);
+    let reference = parallel::with_thread_cap(1, render_all);
     for cap in [2usize, 4] {
         if cap > pool {
             continue;
         }
-        let at_cap = mesa::parallel::with_thread_cap(cap, render_all);
+        let at_cap = parallel::with_thread_cap(cap, render_all);
         if at_cap != reference {
             return Err(fail(
                 FAMILY,

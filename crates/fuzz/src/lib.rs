@@ -5,9 +5,10 @@
 //!
 //! Every layer of the system carries a byte-identity or equivalence
 //! invariant — warm ≡ cold ≡ batched sessions, `join` ≡ `join_rendered`,
-//! sealed ≡ dense ≡ sparse kernel counts, thread caps 1/2/4 byte-identical,
-//! fault-injected-then-recovered ≡ fresh, and fingerprint non-aliasing —
-//! and the pruner's decisions must equal an eager, sequential reference.
+//! thread caps 1/2/4 byte-identical, fault-injected-then-recovered ≡ fresh,
+//! and fingerprint non-aliasing — while the kernel's folds over plain and
+//! sealed columns must equal a per-row reference loop, and the pruner's
+//! decisions an eager, sequential reference.
 //! Historically those were locked only over the three fixed paper datasets;
 //! this crate asserts them over *generated* scenarios instead:
 //!

@@ -122,7 +122,7 @@ fn report_failure(scenario: &Scenario, failure: &fuzz::OracleFailure, sabotage: 
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let pool = mesa::parallel::set_threads(4);
+    let pool = parallel::set_threads(4);
     let fault_family = cfg!(feature = "fault-injection");
     println!(
         "fuzz: seed {} -> {:#x}, {} scenarios, pool={pool}, fault-recovery {}",

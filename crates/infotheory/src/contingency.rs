@@ -9,9 +9,11 @@
 //! Storage is delegated to the [`kernel`] module: small cross
 //! products (the overwhelmingly common case after binning) are accumulated
 //! into a flat dense vector via mixed-radix code packing; larger ones fall
-//! back to the sparse hash-map path.
+//! back to the sparse hash-map path. Columns are passed as [`ColumnView`]s,
+//! so a table builds the same way — and with the same bits — over mutable
+//! and sealed columns; a malformed input is an error, never a panic.
 
-use tabular::{ColumnView, EncodedColumn, TabularError};
+use tabular::{ColumnView, TabularError};
 
 use crate::kernel::{self, JointCounts};
 
@@ -29,7 +31,9 @@ pub struct JointTable {
 
 impl JointTable {
     /// Builds the joint table of `columns` over rows `0..n`, where `n` is the
-    /// common length of the columns.
+    /// common length of the columns, in either lifecycle state (mutable or
+    /// sealed; sealed columns fold without decoding, with bit-identical
+    /// results).
     ///
     /// * Rows with a missing value in any column are skipped.
     /// * `weights`, when given, must have the same length as the columns and
@@ -37,92 +41,26 @@ impl JointTable {
     ///   weights every complete row counts 1. Rows with zero weight are
     ///   skipped.
     ///
-    /// # Panics
-    /// Panics if the columns (or the weight vector) have inconsistent
-    /// lengths, or if any weight is negative or non-finite (NaN / infinite
-    /// weights would silently corrupt the counts).
-    pub fn build(columns: &[&EncodedColumn], weights: Option<&[f64]>) -> Self {
-        let n = columns.first().map(|c| c.len()).unwrap_or(0);
-        Self::build_with_threshold(columns, weights, kernel::adaptive_dense_cells(n))
-    }
-
-    /// Like [`build`](JointTable::build) but with an explicit dense-cell
-    /// threshold: cross products with at most `dense_cells` cells use the
-    /// dense kernel, larger ones the sparse hash path. `0` forces sparse.
-    pub fn build_with_threshold(
-        columns: &[&EncodedColumn],
-        weights: Option<&[f64]>,
-        dense_cells: usize,
-    ) -> Self {
-        Self::try_build_with_threshold(columns, weights, dense_cells)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`build`](JointTable::build) with the length/weight contract
-    /// surfaced as a structured [`TabularError`] instead of a panic — the
-    /// serving-path entry point.
+    /// Inconsistent lengths, or a negative or non-finite weight (which would
+    /// silently corrupt the counts), are a [`TabularError::InvalidArgument`].
     pub fn try_build(
-        columns: &[&EncodedColumn],
+        columns: &[ColumnView<'_>],
         weights: Option<&[f64]>,
     ) -> Result<Self, TabularError> {
         let n = columns.first().map(|c| c.len()).unwrap_or(0);
         Self::try_build_with_threshold(columns, weights, kernel::adaptive_dense_cells(n))
     }
 
-    /// [`build_with_threshold`](JointTable::build_with_threshold), returning
-    /// contract violations as [`TabularError::InvalidArgument`].
+    /// Like [`try_build`](JointTable::try_build) but with an explicit
+    /// dense-cell threshold: cross products with at most `dense_cells` cells
+    /// use the dense layout, larger ones the sparse hash path. `0` forces
+    /// sparse.
     pub fn try_build_with_threshold(
-        columns: &[&EncodedColumn],
+        columns: &[ColumnView<'_>],
         weights: Option<&[f64]>,
         dense_cells: usize,
     ) -> Result<Self, TabularError> {
         let acc = kernel::try_accumulate(columns, weights, dense_cells)?;
-        Ok(JointTable {
-            counts: acc.counts,
-            total: acc.total,
-            complete_cases: acc.complete_cases,
-        })
-    }
-
-    /// Builds the joint table over columns in either lifecycle state
-    /// (mutable or sealed). Semantics are identical to
-    /// [`build`](JointTable::build); sealed columns are folded through the
-    /// run-aware kernel paths without decoding, with bit-identical results.
-    pub fn build_views(columns: &[ColumnView<'_>], weights: Option<&[f64]>) -> Self {
-        let n = columns.first().map(|c| c.len()).unwrap_or(0);
-        Self::build_views_with_threshold(columns, weights, kernel::adaptive_dense_cells(n))
-    }
-
-    /// Like [`build_views`](JointTable::build_views) with an explicit
-    /// dense-cell threshold (see
-    /// [`build_with_threshold`](JointTable::build_with_threshold)).
-    pub fn build_views_with_threshold(
-        columns: &[ColumnView<'_>],
-        weights: Option<&[f64]>,
-        dense_cells: usize,
-    ) -> Self {
-        Self::try_build_views_with_threshold(columns, weights, dense_cells)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`build_views`](JointTable::build_views) with contract violations
-    /// returned as [`TabularError::InvalidArgument`] instead of panicking.
-    pub fn try_build_views(
-        columns: &[ColumnView<'_>],
-        weights: Option<&[f64]>,
-    ) -> Result<Self, TabularError> {
-        let n = columns.first().map(|c| c.len()).unwrap_or(0);
-        Self::try_build_views_with_threshold(columns, weights, kernel::adaptive_dense_cells(n))
-    }
-
-    /// [`build_views_with_threshold`](JointTable::build_views_with_threshold),
-    /// returning contract violations as [`TabularError::InvalidArgument`].
-    pub fn try_build_views_with_threshold(
-        columns: &[ColumnView<'_>],
-        weights: Option<&[f64]>,
-        dense_cells: usize,
-    ) -> Result<Self, TabularError> {
-        let acc = kernel::try_accumulate_views(columns, weights, dense_cells)?;
         Ok(JointTable {
             counts: acc.counts,
             total: acc.total,
@@ -186,17 +124,30 @@ impl JointTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tabular::Column;
+    use tabular::{Column, EncodedColumn};
 
     fn enc(vals: &[Option<&str>]) -> EncodedColumn {
         Column::from_str_values("c", vals.to_vec()).encode()
+    }
+
+    fn build(cols: &[&EncodedColumn], weights: Option<&[f64]>) -> JointTable {
+        build_with_threshold(cols, weights, kernel::adaptive_dense_cells(cols[0].len()))
+    }
+
+    fn build_with_threshold(
+        cols: &[&EncodedColumn],
+        weights: Option<&[f64]>,
+        dense_cells: usize,
+    ) -> JointTable {
+        let views: Vec<ColumnView<'_>> = cols.iter().map(|&c| c.into()).collect();
+        JointTable::try_build_with_threshold(&views, weights, dense_cells).unwrap()
     }
 
     #[test]
     fn builds_counts_and_total() {
         let x = enc(&[Some("a"), Some("a"), Some("b"), Some("b")]);
         let y = enc(&[Some("0"), Some("1"), Some("0"), Some("1")]);
-        let t = JointTable::build(&[&x, &y], None);
+        let t = build(&[&x, &y], None);
         assert_eq!(t.n_cells(), 4);
         assert_eq!(t.total(), 4.0);
         assert_eq!(t.complete_cases(), 4);
@@ -208,7 +159,7 @@ mod tests {
     fn missing_rows_are_dropped() {
         let x = enc(&[Some("a"), None, Some("b")]);
         let y = enc(&[Some("0"), Some("1"), None]);
-        let t = JointTable::build(&[&x, &y], None);
+        let t = build(&[&x, &y], None);
         assert_eq!(t.complete_cases(), 1);
         assert_eq!(t.total(), 1.0);
     }
@@ -216,30 +167,30 @@ mod tests {
     #[test]
     fn weights_scale_counts() {
         let x = enc(&[Some("a"), Some("b")]);
-        let t = JointTable::build(&[&x], Some(&[2.0, 6.0]));
+        let t = build(&[&x], Some(&[2.0, 6.0]));
         assert_eq!(t.total(), 8.0);
         assert!((t.probability(&[1]) - 0.75).abs() < 1e-12);
         // zero / negative weights are skipped
-        let t = JointTable::build(&[&x], Some(&[0.0, 1.0]));
+        let t = build(&[&x], Some(&[0.0, 1.0]));
         assert_eq!(t.complete_cases(), 1);
     }
 
     #[test]
     fn entropy_uniform_and_deterministic() {
         let x = enc(&[Some("a"), Some("b"), Some("c"), Some("d")]);
-        let t = JointTable::build(&[&x], None);
+        let t = build(&[&x], None);
         assert!((t.entropy() - 2.0).abs() < 1e-12);
         let y = enc(&[Some("a"), Some("a")]);
-        assert_eq!(JointTable::build(&[&y], None).entropy(), 0.0);
+        assert_eq!(build(&[&y], None).entropy(), 0.0);
         let empty = enc(&[None, None]);
-        assert_eq!(JointTable::build(&[&empty], None).entropy(), 0.0);
+        assert_eq!(build(&[&empty], None).entropy(), 0.0);
     }
 
     #[test]
     fn marginalisation_preserves_total() {
         let x = enc(&[Some("a"), Some("a"), Some("b"), Some("b")]);
         let y = enc(&[Some("0"), Some("1"), Some("0"), Some("1")]);
-        let t = JointTable::build(&[&x, &y], None);
+        let t = build(&[&x, &y], None);
         let mx = t.marginal(&[0]);
         assert_eq!(mx.total(), t.total());
         assert_eq!(mx.n_cells(), 2);
@@ -248,20 +199,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "equal length")]
-    fn mismatched_lengths_panic() {
-        let x = enc(&[Some("a")]);
-        let y = enc(&[Some("a"), Some("b")]);
-        JointTable::build(&[&x, &y], None);
-    }
-
-    #[test]
     fn dense_and_sparse_tables_agree() {
         let x = enc(&[Some("a"), Some("a"), Some("b"), None, Some("b"), Some("c")]);
         let y = enc(&[Some("0"), Some("1"), Some("0"), Some("1"), None, Some("1")]);
         let w = [1.0, 2.0, 0.5, 1.0, 1.0, 3.0];
-        let dense = JointTable::build(&[&x, &y], Some(&w));
-        let sparse = JointTable::build_with_threshold(&[&x, &y], Some(&w), 0);
+        let dense = build(&[&x, &y], Some(&w));
+        let sparse = build_with_threshold(&[&x, &y], Some(&w), 0);
         assert!(dense.is_dense());
         assert!(!sparse.is_dense());
         assert_eq!(dense.total(), sparse.total());
@@ -275,19 +218,5 @@ mod tests {
             assert_eq!(dm.n_cells(), sm.n_cells());
         }
         assert!((dense.probability(&[0, 1]) - sparse.probability(&[0, 1])).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid IPW weight")]
-    fn non_finite_weights_are_rejected() {
-        let x = enc(&[Some("a"), Some("b")]);
-        JointTable::build(&[&x], Some(&[1.0, f64::INFINITY]));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid IPW weight")]
-    fn negative_weights_are_rejected() {
-        let x = enc(&[Some("a"), Some("b")]);
-        JointTable::build(&[&x], Some(&[-1.0, 1.0]));
     }
 }

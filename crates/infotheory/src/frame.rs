@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use tabular::{ColumnView, DataFrame, EncodedColumn, Encoding, Result, SealedColumn, TabularError};
 
 use crate::contingency::JointTable;
-use crate::independence::{ci_test_views, CiTestConfig, CiTestResult};
+use crate::independence::{self, CiTestConfig, CiTestResult};
 use crate::measures;
 
 /// One column of an [`EncodedFrame`], in one of the two lifecycle states of
@@ -205,59 +205,40 @@ impl EncodedFrame {
         names.iter().map(|&n| self.column(n)).collect()
     }
 
-    /// Checks the IPW weight contract (one finite, non-negative weight per
-    /// row) up front, so weighted measures return a structured
-    /// [`TabularError::InvalidArgument`] on the serving path instead of
-    /// panicking inside the counting kernel.
-    fn check_weights(&self, weights: Option<&[f64]>) -> Result<()> {
-        crate::kernel::validate_weights(self.n_rows(), weights)
-    }
-
     /// `H(X)`.
     pub fn entropy(&self, x: &str) -> Result<f64> {
-        Ok(measures::entropy_view(self.column(x)?, None))
+        measures::entropy(self.column(x)?, None)
     }
 
     /// `H(X | Z)` for a set of conditioning columns.
     pub fn conditional_entropy(&self, x: &str, given: &[&str]) -> Result<f64> {
-        Ok(measures::conditional_entropy_views(
-            self.column(x)?,
-            &self.columns_for(given)?,
-            None,
-        ))
+        measures::conditional_entropy(self.column(x)?, &self.columns_for(given)?, None)
     }
 
     /// `I(X; Y)`, optionally IPW-weighted.
     pub fn mutual_information(&self, x: &str, y: &str, weights: Option<&[f64]>) -> Result<f64> {
-        self.check_weights(weights)?;
-        Ok(measures::mutual_information_views(
-            self.column(x)?,
-            self.column(y)?,
-            weights,
-        ))
+        measures::mutual_information(self.column(x)?, self.column(y)?, weights)
     }
 
     /// `I(X; Y | Z)` for a set of conditioning columns, optionally
     /// IPW-weighted.
     pub fn cmi(&self, x: &str, y: &str, z: &[&str], weights: Option<&[f64]>) -> Result<f64> {
-        self.check_weights(weights)?;
-        Ok(measures::conditional_mutual_information_views(
+        measures::conditional_mutual_information(
             self.column(x)?,
             self.column(y)?,
             &self.columns_for(z)?,
             weights,
-        ))
+        )
     }
 
     /// Interaction information `II(X; Y; Z)`.
     pub fn interaction(&self, x: &str, y: &str, z: &str, weights: Option<&[f64]>) -> Result<f64> {
-        self.check_weights(weights)?;
-        Ok(measures::interaction_information_views(
+        measures::interaction_information(
             self.column(x)?,
             self.column(y)?,
             self.column(z)?,
             weights,
-        ))
+        )
     }
 
     /// The weighted joint table over the named columns, with dimensions in
@@ -267,7 +248,7 @@ impl EncodedFrame {
     /// table's own entropies and marginals. An unknown column, or weights
     /// that are not one finite, non-negative entry per row, is an error.
     pub fn joint(&self, names: &[&str], weights: Option<&[f64]>) -> Result<JointTable> {
-        JointTable::try_build_views(&self.columns_for(names)?, weights)
+        JointTable::try_build(&self.columns_for(names)?, weights)
     }
 
     /// Conditional-independence G-test of `X ⫫ Y | Z`.
@@ -279,14 +260,13 @@ impl EncodedFrame {
         weights: Option<&[f64]>,
         config: CiTestConfig,
     ) -> Result<CiTestResult> {
-        self.check_weights(weights)?;
-        Ok(ci_test_views(
+        independence::ci_test(
             self.column(x)?,
             self.column(y)?,
             &self.columns_for(z)?,
             weights,
             config,
-        ))
+        )
     }
 
     /// Number of distinct non-null values of a column.

@@ -12,7 +12,7 @@
 //! `(|X|-1)(|Y|-1)·|Z|` degrees of freedom under the null hypothesis of
 //! conditional independence.
 
-use tabular::{ColumnView, EncodedColumn};
+use tabular::{ColumnView, TabularError};
 
 use crate::contingency::JointTable;
 use crate::measures::cmi_of_joint;
@@ -63,31 +63,27 @@ fn observed_levels(table: &JointTable, dim: usize) -> usize {
     table.marginal(&[dim]).n_cells()
 }
 
-/// Runs the G-test of `X ⫫ Y | Z` on complete cases (optionally weighted).
+/// Runs the G-test of `X ⫫ Y | Z` on complete cases (optionally weighted),
+/// over columns in either lifecycle state (mutable or sealed). Builds the
+/// `[X, Y, Z…]` table once and reads the test off it with [`ci_test_joint`].
+/// Malformed input (inconsistent lengths, invalid weights) is a
+/// [`TabularError::InvalidArgument`].
 pub fn ci_test(
-    x: &EncodedColumn,
-    y: &EncodedColumn,
-    z: &[&EncodedColumn],
-    weights: Option<&[f64]>,
-    config: CiTestConfig,
-) -> CiTestResult {
-    let z_views: Vec<ColumnView<'_>> = z.iter().map(|&c| c.into()).collect();
-    ci_test_views(x.into(), y.into(), &z_views, weights, config)
-}
-
-/// [`ci_test`] over columns in either lifecycle state (mutable or sealed).
-pub fn ci_test_views(
     x: ColumnView<'_>,
     y: ColumnView<'_>,
     z: &[ColumnView<'_>],
     weights: Option<&[f64]>,
     config: CiTestConfig,
-) -> CiTestResult {
+) -> Result<CiTestResult, TabularError> {
     let mut all: Vec<ColumnView<'_>> = Vec::with_capacity(z.len() + 2);
     all.push(x);
     all.push(y);
     all.extend_from_slice(z);
-    ci_test_joint(&JointTable::build_views(&all, weights), z.len(), config)
+    Ok(ci_test_joint(
+        &JointTable::try_build(&all, weights)?,
+        z.len(),
+        config,
+    ))
 }
 
 /// The G-test of `X ⫫ Y | Z` read off one joint table whose dimensions are
@@ -135,10 +131,21 @@ pub fn ci_test_joint(joint: &JointTable, n_z: usize, config: CiTestConfig) -> Ci
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tabular::Column;
+    use tabular::{Column, EncodedColumn};
 
     fn enc(vals: &[&str]) -> EncodedColumn {
         Column::from_str_values("c", vals.iter().map(|v| Some(*v)).collect()).encode()
+    }
+
+    /// [`ci_test`] over mutable columns.
+    fn g_test(
+        x: &EncodedColumn,
+        y: &EncodedColumn,
+        z: &[&EncodedColumn],
+        config: CiTestConfig,
+    ) -> CiTestResult {
+        let z: Vec<ColumnView<'_>> = z.iter().map(|&c| c.into()).collect();
+        ci_test(x.into(), y.into(), &z, None, config).unwrap()
     }
 
     /// Repeats a pattern to get a reasonably sized sample.
@@ -156,7 +163,7 @@ mod tests {
     fn independent_variables_retain_null() {
         let x = repeat(&["a", "a", "b", "b"], 50);
         let y = repeat(&["0", "1", "0", "1"], 50);
-        let r = ci_test(&x, &y, &[], None, CiTestConfig::default());
+        let r = g_test(&x, &y, &[], CiTestConfig::default());
         assert!(r.independent);
         assert!(r.p_value > 0.05 || r.cmi < 1e-3);
         assert_eq!(r.n, 200);
@@ -166,7 +173,7 @@ mod tests {
     fn dependent_variables_reject_null() {
         let x = repeat(&["a", "a", "b", "b"], 50);
         let y = x.clone();
-        let r = ci_test(&x, &y, &[], None, CiTestConfig::default());
+        let r = g_test(&x, &y, &[], CiTestConfig::default());
         assert!(!r.independent);
         assert!(r.p_value < 0.01);
         assert!(r.cmi > 0.9);
@@ -179,8 +186,8 @@ mod tests {
         let x = z.clone();
         let y = z.clone();
         let config = CiTestConfig::default();
-        assert!(!ci_test(&x, &y, &[], None, config).independent);
-        assert!(ci_test(&x, &y, &[&z], None, config).independent);
+        assert!(!g_test(&x, &y, &[], config).independent);
+        assert!(g_test(&x, &y, &[&z], config).independent);
     }
 
     #[test]
@@ -188,7 +195,7 @@ mod tests {
         // With only a handful of rows the G-test should not claim dependence.
         let x = enc(&["a", "b"]);
         let y = enc(&["0", "1"]);
-        let r = ci_test(&x, &y, &[], None, CiTestConfig::default());
+        let r = g_test(&x, &y, &[], CiTestConfig::default());
         assert!(r.independent);
     }
 
@@ -196,7 +203,7 @@ mod tests {
     fn empty_data_is_independent() {
         let x = Column::from_str_values("x", vec![None::<&str>, None]).encode();
         let y = x.clone();
-        let r = ci_test(&x, &y, &[], None, CiTestConfig::default());
+        let r = g_test(&x, &y, &[], CiTestConfig::default());
         assert!(r.independent);
         assert_eq!(r.n, 0);
         assert_eq!(r.p_value, 1.0);
@@ -217,17 +224,16 @@ mod tests {
             Column::from_str_values("x", xv.iter().map(|s| Some(s.as_str())).collect()).encode();
         let y =
             Column::from_str_values("y", yv.iter().map(|s| Some(s.as_str())).collect()).encode();
-        let strict = ci_test(
+        let strict = g_test(
             &x,
             &y,
             &[],
-            None,
             CiTestConfig {
                 alpha: 0.05,
                 min_cmi: 0.0,
             },
         );
-        let with_floor = ci_test(&x, &y, &[], None, CiTestConfig::default());
+        let with_floor = g_test(&x, &y, &[], CiTestConfig::default());
         assert!(with_floor.independent);
         // the raw test may or may not reject; the floor must make the verdict independent
         assert!(with_floor.cmi <= strict.cmi + 1e-12);
@@ -238,8 +244,8 @@ mod tests {
         let x = repeat(&["a", "b", "a", "b"], 25);
         let y = repeat(&["0", "0", "1", "1"], 25);
         let z = repeat(&["p", "q", "r", "s"], 25);
-        let with_z = ci_test(&x, &y, &[&z], None, CiTestConfig::default());
-        let without = ci_test(&x, &y, &[], None, CiTestConfig::default());
+        let with_z = g_test(&x, &y, &[&z], CiTestConfig::default());
+        let without = g_test(&x, &y, &[], CiTestConfig::default());
         assert!(with_z.dof >= without.dof);
     }
 }

@@ -1,21 +1,27 @@
 //! The columnar counting kernel behind every estimator in this crate.
 //!
-//! A joint count table over encoded columns can be stored two ways:
+//! [`try_accumulate`] is its one entry point: it folds the weighted joint
+//! counts of a set of [`ColumnView`]s — mutable or sealed, in any mix —
+//! reading each column in its stored encoding. A joint count table is stored
+//! two ways:
 //!
 //! * **Dense**: when the cross-product cardinality of the involved columns is
-//!   at most [`DEFAULT_DENSE_CELLS`], counts live in a flat `Vec<f64>`
-//!   indexed by mixed-radix packing of the per-column codes
-//!   (`idx = c_0 + r_0·(c_1 + r_1·(c_2 + …))`, radix `r_i` = cardinality of
-//!   column `i`). Accumulation is then one multiply-add per column per
-//!   complete row — no hashing, no per-row key allocation — and marginals
-//!   are dense folds.
+//!   at most the caller's threshold (see [`adaptive_dense_cells`]), counts
+//!   live in a flat `Vec<f64>` indexed by mixed-radix packing of the
+//!   per-column codes (`idx = c_0 + r_0·(c_1 + r_1·(c_2 + …))`, radix `r_i` =
+//!   cardinality of column `i`). Accumulation is then one multiply-add per
+//!   column per complete row — no hashing, no per-row key allocation — and
+//!   marginals are dense folds.
 //! * **Sparse**: above the threshold the kernel falls back to the hash-map
 //!   representation (`Vec<u32>` joint key → weight), which handles
 //!   pathological cardinalities without allocating the cross product.
 //!
 //! The complete-case mask (rows non-null in *every* involved column) is fused
 //! into one word-wise bitmap `AND` over the columns' validity bitmaps instead
-//! of a per-row `continue` chain.
+//! of a per-row `continue` chain. Run-encoded columns are folded segment by
+//! segment, everything else in 64-row blocks over the mask words; both folds
+//! are bit-identical to a plain per-row loop, which the fuzzer keeps as its
+//! reference.
 //!
 //! The sparse map uses a **fixed-state hasher** ([`FixedState`]), not the
 //! standard library's per-process-randomised `RandomState`: entropy and
@@ -29,14 +35,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use tabular::{Access, Bitmap, ColumnView, EncodedColumn, PackedInts, Run, RunIter, TabularError};
-
-/// Rows folded between cooperative cancellation checkpoints in the per-row
-/// accumulation loops (the segment/block folds checkpoint at their natural
-/// coarser boundaries instead). Coarse enough that the thread-local read is
-/// invisible next to the fold work, fine enough that a deadline lands
-/// within a fraction of a millisecond of kernel time.
-const CHECKPOINT_ROWS: usize = 4096;
+use tabular::{Access, Bitmap, ColumnView, PackedInts, Run, RunIter, TabularError};
 
 /// A deterministic FxHash-style hasher: multiply-xor folding with fixed
 /// constants and no per-process seed. Quality is more than sufficient for
@@ -121,41 +120,13 @@ pub const DENSE_CELLS_FLOOR: usize = 1024;
 ///
 /// See [`DENSE_CELLS_PER_ROW`] and [`DENSE_CELLS_FLOOR`] for the crossover
 /// rationale and [`DEFAULT_DENSE_CELLS`] for the hard cap. The same threshold
-/// governs every accumulation path — the dense/sparse row loops and the
-/// run-aware sealed-column folds of [`accumulate_views`] — so layout choice
-/// and storage state are independent decisions.
+/// governs both folds of [`try_accumulate`], so layout choice and storage
+/// state are independent decisions.
 pub fn adaptive_dense_cells(n_rows: usize) -> usize {
     n_rows
         .saturating_mul(DENSE_CELLS_PER_ROW)
         .saturating_add(DENSE_CELLS_FLOOR)
         .min(DEFAULT_DENSE_CELLS)
-}
-
-/// The complete-case mask of a set of columns over `n_rows` rows: bit `i` is
-/// set iff row `i` is non-null in every column.
-///
-/// # Panics
-/// Panics if any column's length differs from `n_rows`.
-pub fn complete_case_mask(columns: &[&EncodedColumn], n_rows: usize) -> Bitmap {
-    let mut mask = Bitmap::new_all_set(n_rows);
-    for c in columns {
-        mask.intersect_with(c.validity());
-    }
-    mask
-}
-
-/// Number of cells of the dense cross product, or `None` when it exceeds
-/// `threshold` (or overflows `usize`). Columns with cardinality 0 (entirely
-/// missing) contribute a radix of 1 so the product stays well-defined.
-pub fn dense_cell_count(columns: &[&EncodedColumn], threshold: usize) -> Option<usize> {
-    let mut cells: usize = 1;
-    for c in columns {
-        cells = cells.checked_mul(c.cardinality().max(1))?;
-        if cells > threshold {
-            return None;
-        }
-    }
-    Some(cells)
 }
 
 /// Joint counts in either storage layout.
@@ -189,32 +160,39 @@ pub struct Accumulated {
     pub complete_cases: usize,
 }
 
-/// Accumulates the weighted joint counts of `columns`, choosing the dense
-/// layout when the cross product has at most `dense_cells` cells.
+/// Accumulates the weighted joint counts of `columns`, in either lifecycle
+/// state, choosing the dense layout when the cross product has at most
+/// `dense_cells` cells.
 ///
 /// Rows with a missing value in any column are dropped (complete-case
 /// analysis); rows with zero weight are dropped from the counts and the
-/// complete-case tally.
+/// complete-case tally. Inconsistent column lengths, or a weight vector that
+/// is not one finite, non-negative entry per row, are a
+/// [`TabularError::InvalidArgument`] (NaN / infinite weights would silently
+/// corrupt every downstream entropy).
 ///
-/// # Panics
-/// Panics if the columns (or the weight vector) have inconsistent lengths,
-/// or if any weight is negative or non-finite (NaN / infinite weights would
-/// silently corrupt every downstream entropy). Serving paths that must not
-/// unwind use [`try_accumulate`] instead.
-pub fn accumulate(
-    columns: &[&EncodedColumn],
-    weights: Option<&[f64]>,
-    dense_cells: usize,
-) -> Accumulated {
-    // mesa-lint: allow(serving-panic-free) -- documented `# Panics` convenience wrapper; serving paths call try_accumulate
-    try_accumulate(columns, weights, dense_cells).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`accumulate`] with the length/weight contract surfaced as a structured
-/// [`TabularError::InvalidArgument`] instead of a panic — the serving-path
-/// entry point.
+/// Columns are read in their stored encodings:
+///
+/// * any RLE or delta column present → **run-aligned segment co-iteration**:
+///   each segment is the intersection of the participating runs, the run
+///   columns' contribution to the joint index is hoisted out of the row
+///   loop, per-segment validity comes from the word-level range iterators of
+///   the complete-case mask, and an all-run unweighted segment collapses to
+///   a single `+= count_set_range(..)` (a bit-packed column in this fold is
+///   decoded once up front);
+/// * otherwise → **64-row blocks** aligned to the mask words: all-null
+///   words are skipped wholesale, mutable and sealed-dense columns are read
+///   as slices, and each bit-packed column unpacks one block sequentially
+///   instead of paying the random-access shift per row.
+///
+/// Both folds visit surviving rows in ascending row order and perform the
+/// same floating-point operations per row as a plain per-row loop
+/// (unweighted run and block folds replace `n` additions of `1.0` with one
+/// `+= n`, exact for integer counts), so a sealed column folds
+/// **bit-identically** to its mutable form — an equality the test suite and
+/// the fuzzer's row-loop reference assert, not approximate.
 pub fn try_accumulate(
-    columns: &[&EncodedColumn],
+    columns: &[ColumnView<'_>],
     weights: Option<&[f64]>,
     dense_cells: usize,
 ) -> Result<Accumulated, TabularError> {
@@ -222,7 +200,21 @@ pub fn try_accumulate(
     validate_lengths(n, columns.iter().map(|c| c.len()))?;
     validate_weights(n, weights)?;
     parallel::fault_point!("infotheory.kernel.accumulate");
-    Ok(accumulate_validated(columns, weights, dense_cells, n))
+    let mask = complete_case_mask(columns, n);
+    let cells = dense_cell_count(columns, dense_cells);
+    let any_runs = columns
+        .iter()
+        .any(|c| matches!(c.access(), Access::Runs(_)));
+    let (counts, total, complete_cases) = if any_runs {
+        fold_segments(columns, weights, &mask, cells, n)
+    } else {
+        fold_blocks(columns, weights, &mask, cells, n)
+    };
+    Ok(Accumulated {
+        counts,
+        total,
+        complete_cases,
+    })
 }
 
 /// Returns an error unless every column length equals `n`.
@@ -238,10 +230,8 @@ fn validate_lengths(n: usize, lens: impl IntoIterator<Item = usize>) -> Result<(
 }
 
 /// Validates the IPW weight contract against `n` rows: one weight per row,
-/// every weight finite and non-negative. Shared by the accumulate entry
-/// points and by [`EncodedFrame`](crate::EncodedFrame)'s weighted measures
-/// so invalid weights surface as structured errors before any fold runs.
-pub fn validate_weights(n: usize, weights: Option<&[f64]>) -> Result<(), TabularError> {
+/// every weight finite and non-negative.
+fn validate_weights(n: usize, weights: Option<&[f64]>) -> Result<(), TabularError> {
     let Some(w) = weights else { return Ok(()) };
     if w.len() != n {
         return Err(TabularError::InvalidArgument(format!(
@@ -259,77 +249,9 @@ pub fn validate_weights(n: usize, weights: Option<&[f64]>) -> Result<(), Tabular
     Ok(())
 }
 
-/// [`accumulate`]'s body, after the input contract has been checked.
-fn accumulate_validated(
-    columns: &[&EncodedColumn],
-    weights: Option<&[f64]>,
-    dense_cells: usize,
-    n: usize,
-) -> Accumulated {
-    let mask = complete_case_mask(columns, n);
-    let mut total = 0.0;
-    let mut complete_cases = 0usize;
-    let counts = match dense_cell_count(columns, dense_cells) {
-        Some(cells) => {
-            let mut counts = vec![0.0f64; cells];
-            let radices: Vec<usize> = columns.iter().map(|c| c.cardinality().max(1)).collect();
-            let mut ticker = 0usize;
-            // mesa-lint: hot-loop -- masked fold over row blocks; polls the cooperative deadline every CHECKPOINT_ROWS rows
-            for row in mask.iter_set() {
-                ticker += 1;
-                if ticker.is_multiple_of(CHECKPOINT_ROWS) {
-                    parallel::checkpoint();
-                }
-                let w = weights.map(|w| w[row]).unwrap_or(1.0);
-                if w == 0.0 {
-                    continue;
-                }
-                let mut idx = 0usize;
-                let mut mult = 1usize;
-                for (c, &radix) in columns.iter().zip(&radices) {
-                    idx += c.codes()[row] as usize * mult;
-                    mult *= radix;
-                }
-                counts[idx] += w;
-                total += w;
-                complete_cases += 1;
-            }
-            JointCounts::Dense { counts, radices }
-        }
-        None => {
-            let mut counts = SparseCounts::default();
-            let mut ticker = 0usize;
-            // mesa-lint: hot-loop -- masked fold over row blocks; polls the cooperative deadline every CHECKPOINT_ROWS rows
-            for row in mask.iter_set() {
-                ticker += 1;
-                if ticker.is_multiple_of(CHECKPOINT_ROWS) {
-                    parallel::checkpoint();
-                }
-                let w = weights.map(|w| w[row]).unwrap_or(1.0);
-                if w == 0.0 {
-                    continue;
-                }
-                let key: Vec<u32> = columns.iter().map(|c| c.codes()[row]).collect();
-                *counts.entry(key).or_insert(0.0) += w;
-                total += w;
-                complete_cases += 1;
-            }
-            JointCounts::Sparse { counts }
-        }
-    };
-    Accumulated {
-        counts,
-        total,
-        complete_cases,
-    }
-}
-
-/// The complete-case mask over columns in either lifecycle state: bit `i` is
-/// set iff row `i` is non-null in every column. See [`complete_case_mask`].
-///
-/// # Panics
-/// Panics if any column's length differs from `n_rows`.
-pub fn complete_case_mask_views(columns: &[ColumnView<'_>], n_rows: usize) -> Bitmap {
+/// The complete-case mask over `n_rows` rows: bit `i` is set iff row `i` is
+/// non-null in every column. Lengths are validated by the caller.
+fn complete_case_mask(columns: &[ColumnView<'_>], n_rows: usize) -> Bitmap {
     let mut mask = Bitmap::new_all_set(n_rows);
     for c in columns {
         mask.intersect_with(c.validity());
@@ -337,10 +259,10 @@ pub fn complete_case_mask_views(columns: &[ColumnView<'_>], n_rows: usize) -> Bi
     mask
 }
 
-/// Number of cells of the dense cross product over column views, or `None`
-/// when it exceeds `threshold` (or overflows `usize`). See
-/// [`dense_cell_count`].
-pub fn dense_cell_count_views(columns: &[ColumnView<'_>], threshold: usize) -> Option<usize> {
+/// Number of cells of the dense cross product, or `None` when it exceeds
+/// `threshold` (or overflows `usize`). Columns with cardinality 0 (entirely
+/// missing) contribute a radix of 1 so the product stays well-defined.
+fn dense_cell_count(columns: &[ColumnView<'_>], threshold: usize) -> Option<usize> {
     let mut cells: usize = 1;
     for c in columns {
         cells = cells.checked_mul(c.cardinality().max(1))?;
@@ -349,91 +271,6 @@ pub fn dense_cell_count_views(columns: &[ColumnView<'_>], threshold: usize) -> O
         }
     }
     Some(cells)
-}
-
-/// Accumulates weighted joint counts over columns in either lifecycle state.
-///
-/// All-mutable inputs delegate to [`accumulate`] — the per-row dense/sparse
-/// loop stays the reference oracle and mutable frames take exactly the code
-/// path they always did. Sealed inputs are folded without a full decode:
-///
-/// * any RLE or delta column present → **run-aligned segment co-iteration**:
-///   each segment is the intersection of the participating runs, the run
-///   columns' contribution to the joint index is hoisted out of the row
-///   loop, per-segment validity comes from the word-level range iterators of
-///   the complete-case mask, and an all-run unweighted segment collapses to
-///   a single `+= count_set_range(..)`;
-/// * otherwise, any bit-packed column present → **64-row blocks** aligned to
-///   the mask words: all-null/incomplete words are skipped wholesale and
-///   each packed column unpacks one block sequentially into scratch instead
-///   of paying the random-access shift per row;
-/// * sealed-dense columns read their slices directly in either path.
-///
-/// Every path visits surviving rows in ascending row order and performs the
-/// identical floating-point operations per row as the oracle (unweighted run
-/// folds replace `n` additions of `1.0` with one `+= n`, exact for integer
-/// counts), so results are **bit-identical** to the dense/sparse reference —
-/// an equality the test suite asserts, not approximates.
-///
-/// # Panics
-/// As [`accumulate`]: inconsistent lengths, or negative/non-finite weights.
-/// Serving paths that must not unwind use [`try_accumulate_views`].
-pub fn accumulate_views(
-    columns: &[ColumnView<'_>],
-    weights: Option<&[f64]>,
-    dense_cells: usize,
-) -> Accumulated {
-    // mesa-lint: allow(serving-panic-free) -- documented `# Panics` convenience wrapper; serving paths call try_accumulate_views
-    try_accumulate_views(columns, weights, dense_cells).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`accumulate_views`] with the length/weight contract surfaced as a
-/// structured [`TabularError::InvalidArgument`] instead of a panic.
-pub fn try_accumulate_views(
-    columns: &[ColumnView<'_>],
-    weights: Option<&[f64]>,
-    dense_cells: usize,
-) -> Result<Accumulated, TabularError> {
-    let n = columns.first().map(|c| c.len()).unwrap_or(0);
-    validate_lengths(n, columns.iter().map(|c| c.len()))?;
-    validate_weights(n, weights)?;
-    if columns.iter().all(|c| !c.is_sealed()) {
-        let plain: Vec<&EncodedColumn> = columns
-            .iter()
-            .map(|c| match c {
-                ColumnView::Plain(p) => *p,
-                ColumnView::Sealed(_) => unreachable!("checked all-plain above"),
-            })
-            .collect();
-        parallel::fault_point!("infotheory.kernel.accumulate");
-        return Ok(accumulate_validated(&plain, weights, dense_cells, n));
-    }
-    parallel::fault_point!("infotheory.kernel.accumulate");
-    Ok(accumulate_views_validated(columns, weights, dense_cells, n))
-}
-
-/// [`accumulate_views`]'s sealed-path body, after contract checks.
-fn accumulate_views_validated(
-    columns: &[ColumnView<'_>],
-    weights: Option<&[f64]>,
-    dense_cells: usize,
-    n: usize,
-) -> Accumulated {
-    let mask = complete_case_mask_views(columns, n);
-    let cells = dense_cell_count_views(columns, dense_cells);
-    let any_runs = columns
-        .iter()
-        .any(|c| matches!(c.access(), Access::Runs(_)));
-    let (counts, total, complete_cases) = if any_runs {
-        fold_segments(columns, weights, &mask, cells, n)
-    } else {
-        fold_blocks(columns, weights, &mask, cells, n)
-    };
-    Accumulated {
-        counts,
-        total,
-        complete_cases,
-    }
 }
 
 /// Mixed-radix multipliers for the dense layout (`mults[i]` = product of the
@@ -916,17 +753,23 @@ impl JointCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tabular::Column;
+    use tabular::{Column, EncodedColumn};
 
     fn enc(vals: &[Option<&str>]) -> EncodedColumn {
         Column::from_str_values("c", vals.to_vec()).encode()
+    }
+
+    /// Accumulates mutable columns through their plain views.
+    fn acc(cols: &[&EncodedColumn], weights: Option<&[f64]>, dense_cells: usize) -> Accumulated {
+        let views: Vec<ColumnView<'_>> = cols.iter().map(|&c| c.into()).collect();
+        try_accumulate(&views, weights, dense_cells).unwrap()
     }
 
     #[test]
     fn mask_is_intersection_of_validities() {
         let x = enc(&[Some("a"), None, Some("b"), Some("a")]);
         let y = enc(&[Some("0"), Some("1"), None, Some("0")]);
-        let mask = complete_case_mask(&[&x, &y], 4);
+        let mask = complete_case_mask(&[(&x).into(), (&y).into()], 4);
         let rows: Vec<usize> = mask.iter_set().collect();
         assert_eq!(rows, vec![0, 3]);
     }
@@ -935,20 +778,24 @@ mod tests {
     fn cell_count_respects_threshold_and_overflow() {
         let x = enc(&[Some("a"), Some("b"), Some("c")]);
         let y = enc(&[Some("0"), Some("1"), Some("0")]);
-        assert_eq!(dense_cell_count(&[&x, &y], 100), Some(6));
-        assert_eq!(dense_cell_count(&[&x, &y], 5), None);
+        let xy = [ColumnView::from(&x), ColumnView::from(&y)];
+        assert_eq!(dense_cell_count(&xy, 100), Some(6));
+        assert_eq!(dense_cell_count(&xy, 5), None);
         assert_eq!(dense_cell_count(&[], 1), Some(1));
         // all-missing column contributes radix 1
         let empty = enc(&[None, None, None]);
-        assert_eq!(dense_cell_count(&[&x, &empty], 100), Some(3));
+        assert_eq!(
+            dense_cell_count(&[(&x).into(), (&empty).into()], 100),
+            Some(3)
+        );
     }
 
     #[test]
     fn dense_and_sparse_accumulate_identically() {
         let x = enc(&[Some("a"), Some("a"), Some("b"), None, Some("b")]);
         let y = enc(&[Some("0"), Some("1"), Some("0"), Some("1"), None]);
-        let dense = accumulate(&[&x, &y], None, DEFAULT_DENSE_CELLS);
-        let sparse = accumulate(&[&x, &y], None, 0);
+        let dense = acc(&[&x, &y], None, DEFAULT_DENSE_CELLS);
+        let sparse = acc(&[&x, &y], None, 0);
         assert!(matches!(dense.counts, JointCounts::Dense { .. }));
         assert!(matches!(sparse.counts, JointCounts::Sparse { .. }));
         assert_eq!(dense.total, sparse.total);
@@ -974,8 +821,8 @@ mod tests {
     fn marginalize_matches_between_layouts() {
         let x = enc(&[Some("a"), Some("a"), Some("b"), Some("b"), Some("a")]);
         let y = enc(&[Some("0"), Some("1"), Some("0"), Some("1"), Some("1")]);
-        let dense = accumulate(&[&x, &y], None, DEFAULT_DENSE_CELLS);
-        let sparse = accumulate(&[&x, &y], None, 0);
+        let dense = acc(&[&x, &y], None, DEFAULT_DENSE_CELLS);
+        let sparse = acc(&[&x, &y], None, 0);
         for dims in [vec![0], vec![1], vec![1, 0], vec![0, 1]] {
             let dm = dense.counts.marginalize(&dims);
             let sm = sparse.counts.marginalize(&dims);
@@ -994,7 +841,7 @@ mod tests {
     #[test]
     fn get_handles_out_of_range_keys() {
         let x = enc(&[Some("a"), Some("b")]);
-        let acc = accumulate(&[&x], None, DEFAULT_DENSE_CELLS);
+        let acc = acc(&[&x], None, DEFAULT_DENSE_CELLS);
         assert_eq!(acc.counts.get(&[0]), 1.0);
         assert_eq!(acc.counts.get(&[7]), 0.0);
         assert_eq!(acc.counts.get(&[0, 0]), 0.0);
@@ -1017,8 +864,8 @@ mod tests {
             .collect();
         let x = enc(&cells);
         let y = enc(&cells.iter().rev().copied().collect::<Vec<_>>());
-        let first = accumulate(&[&x, &y], None, 0);
-        let second = accumulate(&[&x, &y], None, 0);
+        let first = acc(&[&x, &y], None, 0);
+        let second = acc(&[&x, &y], None, 0);
         let a: Vec<(Vec<u32>, f64)> = first.counts.iter_keyed().collect();
         let b: Vec<(Vec<u32>, f64)> = second.counts.iter_keyed().collect();
         assert_eq!(a, b, "iteration order must match between builds");
@@ -1037,46 +884,37 @@ mod tests {
         assert_eq!(h1, h2, "two fresh states must hash identically");
     }
 
-    #[test]
-    #[should_panic(expected = "invalid IPW weight")]
-    fn nan_weight_is_rejected() {
-        let x = enc(&[Some("a"), Some("b")]);
-        accumulate(&[&x], Some(&[1.0, f64::NAN]), DEFAULT_DENSE_CELLS);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid IPW weight")]
-    fn negative_weight_is_rejected() {
-        let x = enc(&[Some("a"), Some("b")]);
-        accumulate(&[&x], Some(&[1.0, -0.5]), DEFAULT_DENSE_CELLS);
-    }
-
-    /// Asserts that sealed-view accumulation is bit-identical to the dense
-    /// row-loop oracle on the same columns, in both layouts.
-    fn assert_views_match_oracle(cols: &[&EncodedColumn], weights: Option<&[f64]>) {
+    /// Asserts that sealed-view accumulation is bit-identical to the plain
+    /// views of the same columns, in both layouts: same cells in the same
+    /// order with the same bits, same total, same complete-case count.
+    fn assert_sealed_matches_plain(cols: &[&EncodedColumn], weights: Option<&[f64]>) {
         let sealed: Vec<_> = cols.iter().map(|c| c.seal()).collect();
+        let views: Vec<ColumnView<'_>> = sealed.iter().map(ColumnView::from).collect();
         for dense_cells in [DEFAULT_DENSE_CELLS, 0] {
-            let oracle = accumulate(cols, weights, dense_cells);
-            let views: Vec<ColumnView<'_>> = sealed.iter().map(ColumnView::from).collect();
-            let got = accumulate_views(&views, weights, dense_cells);
-            assert_eq!(got.total.to_bits(), oracle.total.to_bits());
-            assert_eq!(got.complete_cases, oracle.complete_cases);
-            let a: Vec<(Vec<u32>, f64)> = got.counts.iter_keyed().collect();
-            let b: Vec<(Vec<u32>, f64)> = oracle.counts.iter_keyed().collect();
-            assert_eq!(a.len(), b.len());
-            for ((ka, va), (kb, vb)) in a.iter().zip(&b) {
-                assert_eq!(ka, kb, "cell keys (and sparse order) must match");
-                assert_eq!(va.to_bits(), vb.to_bits(), "cell {ka:?}");
-            }
+            let plain = acc(cols, weights, dense_cells);
+            let got = try_accumulate(&views, weights, dense_cells).unwrap();
+            assert_eq!(got.total.to_bits(), plain.total.to_bits());
+            assert_eq!(got.complete_cases, plain.complete_cases);
+            let a: Vec<(Vec<u32>, u64)> = got
+                .counts
+                .iter_keyed()
+                .map(|(k, v)| (k, v.to_bits()))
+                .collect();
+            let b: Vec<(Vec<u32>, u64)> = plain
+                .counts
+                .iter_keyed()
+                .map(|(k, v)| (k, v.to_bits()))
+                .collect();
+            assert_eq!(a, b, "cells, their order and their bits must match");
             assert_eq!(
                 got.counts.entropy(got.total).to_bits(),
-                oracle.counts.entropy(oracle.total).to_bits()
+                plain.counts.entropy(plain.total).to_bits()
             );
         }
     }
 
     #[test]
-    fn sealed_runny_columns_match_oracle() {
+    fn sealed_runny_columns_match_plain() {
         // Long runs with interleaved nulls: the segment path with RLE inputs.
         let x: Vec<Option<&str>> = (0..300)
             .map(|i| {
@@ -1097,13 +935,13 @@ mod tests {
             })
             .collect();
         let (x, y) = (enc(&x), enc(&y));
-        assert_views_match_oracle(&[&x, &y], None);
+        assert_sealed_matches_plain(&[&x, &y], None);
         let w: Vec<f64> = (0..300).map(|i| (i % 7) as f64 * 0.25).collect();
-        assert_views_match_oracle(&[&x, &y], Some(&w));
+        assert_sealed_matches_plain(&[&x, &y], Some(&w));
     }
 
     #[test]
-    fn sealed_shuffled_columns_match_oracle() {
+    fn sealed_shuffled_columns_match_plain() {
         // Shuffled low-cardinality streams seal to bitpacked: the block path.
         let x: Vec<Option<&str>> = (0..500)
             .map(|i| {
@@ -1118,13 +956,13 @@ mod tests {
             .map(|i| Some(["0", "1", "2", "3", "4", "5", "6"][(i * 31) % 7]))
             .collect();
         let (x, y) = (enc(&x), enc(&y));
-        assert_views_match_oracle(&[&x, &y], None);
+        assert_sealed_matches_plain(&[&x, &y], None);
         let w: Vec<f64> = (0..500).map(|i| 0.5 + (i % 5) as f64).collect();
-        assert_views_match_oracle(&[&x, &y], Some(&w));
+        assert_sealed_matches_plain(&[&x, &y], Some(&w));
     }
 
     #[test]
-    fn mixed_run_and_packed_columns_match_oracle() {
+    fn mixed_run_and_packed_columns_match_plain() {
         // One runny column (RLE) and one shuffled column (bitpacked) in the
         // same fold exercises the run×dense mixed segment case.
         let runny: Vec<Option<&str>> = (0..400).map(|i| Some(["u", "v"][i / 80 % 2])).collect();
@@ -1132,42 +970,33 @@ mod tests {
             .map(|i| Some(["a", "b", "c", "d", "e", "f"][(i * 13) % 6]))
             .collect();
         let (r, s) = (enc(&runny), enc(&shuffled));
-        assert_views_match_oracle(&[&r, &s], None);
+        assert_sealed_matches_plain(&[&r, &s], None);
         // Mixed states too: sealed runny column alongside a mutable column.
-        let oracle = accumulate(&[&r, &s], None, DEFAULT_DENSE_CELLS);
+        let plain = acc(&[&r, &s], None, DEFAULT_DENSE_CELLS);
         let sealed_r = r.seal();
-        let got = accumulate_views(
+        let got = try_accumulate(
             &[ColumnView::from(&sealed_r), ColumnView::from(&s)],
             None,
             DEFAULT_DENSE_CELLS,
-        );
-        assert_eq!(got.total.to_bits(), oracle.total.to_bits());
+        )
+        .unwrap();
+        assert_eq!(got.total.to_bits(), plain.total.to_bits());
         assert_eq!(
             got.counts.entropy(got.total).to_bits(),
-            oracle.counts.entropy(oracle.total).to_bits()
+            plain.counts.entropy(plain.total).to_bits()
         );
-    }
-
-    #[test]
-    fn all_plain_views_delegate_to_oracle() {
-        let x = enc(&[Some("a"), Some("b"), None, Some("a")]);
-        let oracle = accumulate(&[&x], None, DEFAULT_DENSE_CELLS);
-        let got = accumulate_views(&[ColumnView::from(&x)], None, DEFAULT_DENSE_CELLS);
-        let a: Vec<(Vec<u32>, f64)> = got.counts.iter_keyed().collect();
-        let b: Vec<(Vec<u32>, f64)> = oracle.counts.iter_keyed().collect();
-        assert_eq!(a, b);
     }
 
     #[test]
     fn sealed_empty_and_all_null_columns() {
         let empty = enc(&[]);
         let sealed = empty.seal();
-        let got = accumulate_views(&[ColumnView::from(&sealed)], None, DEFAULT_DENSE_CELLS);
+        let got = try_accumulate(&[ColumnView::from(&sealed)], None, DEFAULT_DENSE_CELLS).unwrap();
         assert_eq!(got.complete_cases, 0);
         assert_eq!(got.total, 0.0);
         let all_null = enc(&[None, None, None]);
         let sealed = all_null.seal();
-        let got = accumulate_views(&[ColumnView::from(&sealed)], None, DEFAULT_DENSE_CELLS);
+        let got = try_accumulate(&[ColumnView::from(&sealed)], None, DEFAULT_DENSE_CELLS).unwrap();
         assert_eq!(got.complete_cases, 0);
     }
 
@@ -1175,11 +1004,12 @@ mod tests {
     fn sealed_zero_weights_are_skipped() {
         let x = enc(&[Some("a"), Some("a"), Some("b"), Some("b")]);
         let sealed = x.seal();
-        let got = accumulate_views(
+        let got = try_accumulate(
             &[ColumnView::from(&sealed)],
             Some(&[1.0, 0.0, 2.0, 0.0]),
             DEFAULT_DENSE_CELLS,
-        );
+        )
+        .unwrap();
         assert_eq!(got.complete_cases, 2);
         assert_eq!(got.total, 3.0);
     }

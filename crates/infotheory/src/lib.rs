@@ -5,11 +5,14 @@
 //! conditional mutual information (the paper's partial-correlation measure),
 //! interaction information, and conditional-independence tests.
 //!
-//! All estimators operate on the discrete [`tabular::EncodedColumn`]
-//! representation (numeric attributes are binned first, see
-//! [`tabular::bin_frame`]), use complete-case analysis over the involved
-//! columns, and accept optional per-row weights so that Inverse Probability
-//! Weighting can correct selection bias (Section 3.2 of the paper).
+//! All estimators operate on discrete codes (numeric attributes are binned
+//! first, see [`tabular::bin_frame`]) passed as [`tabular::ColumnView`]s, so
+//! one function per measure serves mutable and sealed columns alike. They
+//! use complete-case analysis over the involved columns, accept optional
+//! per-row weights so that Inverse Probability Weighting can correct
+//! selection bias (Section 3.2 of the paper), and return malformed input
+//! (inconsistent lengths, invalid weights) as a
+//! [`tabular::TabularError::InvalidArgument`] rather than panicking.
 //!
 //! ```
 //! use tabular::DataFrameBuilder;
@@ -40,16 +43,13 @@ pub mod special;
 
 pub use contingency::JointTable;
 pub use frame::{ColumnEncodingReport, EncodedFrame};
-pub use independence::{ci_test, ci_test_joint, ci_test_views, CiTestConfig, CiTestResult};
+pub use independence::{ci_test, ci_test_joint, CiTestConfig, CiTestResult};
 pub use kernel::{
-    accumulate_views, adaptive_dense_cells, complete_case_mask, complete_case_mask_views,
-    dense_cell_count, dense_cell_count_views, FixedState, SparseCounts, DEFAULT_DENSE_CELLS,
-    DENSE_CELLS_FLOOR, DENSE_CELLS_PER_ROW,
+    adaptive_dense_cells, FixedState, SparseCounts, DEFAULT_DENSE_CELLS, DENSE_CELLS_FLOOR,
+    DENSE_CELLS_PER_ROW,
 };
 pub use measures::{
-    cmi_of_joint, conditional_entropy, conditional_entropy_views, conditional_mutual_information,
-    conditional_mutual_information_views, entropy, entropy_view, interaction_information,
-    interaction_information_views, joint_entropy, joint_entropy_views, mutual_information,
-    mutual_information_views, normalized_mutual_information, normalized_mutual_information_views,
+    cmi_of_joint, conditional_entropy, conditional_mutual_information, entropy,
+    interaction_information, joint_entropy, mutual_information,
 };
 pub use special::{chi2_sf, gamma_p, ln_gamma};

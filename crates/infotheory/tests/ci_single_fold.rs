@@ -1,13 +1,11 @@
-//! The CI test folds its rows once: `ci_test_views` reads the CMI, the
-//! degrees of freedom and the complete-case count off one joint table. This
-//! property pins it bit for bit to the two-fold form it replaced — one
-//! table for the levels and a second, independent build inside
-//! `conditional_mutual_information_views` for the CMI.
+//! The CI test folds its rows once: `ci_test` reads the CMI, the degrees of
+//! freedom and the complete-case count off one joint table. This property
+//! pins it bit for bit to the two-fold form it replaced — one table for the
+//! levels and a second, independent build inside
+//! `conditional_mutual_information` for the CMI.
 
 use infotheory::special::chi2_sf;
-use infotheory::{
-    ci_test_views, conditional_mutual_information_views, CiTestConfig, CiTestResult, JointTable,
-};
+use infotheory::{ci_test, conditional_mutual_information, CiTestConfig, CiTestResult, JointTable};
 use proptest::prelude::*;
 use tabular::{ColumnView, EncodedColumn, SealedColumn};
 
@@ -34,9 +32,9 @@ fn two_fold_reference(
 ) -> CiTestResult {
     let mut all = vec![x, y];
     all.extend_from_slice(z);
-    let joint = JointTable::build_views(&all, weights);
+    let joint = JointTable::try_build(&all, weights).unwrap();
     let n = joint.complete_cases();
-    let cmi = conditional_mutual_information_views(x, y, z, weights);
+    let cmi = conditional_mutual_information(x, y, z, weights).unwrap();
     if n == 0 {
         return CiTestResult {
             cmi: 0.0,
@@ -99,8 +97,8 @@ proptest! {
         let config = CiTestConfig { alpha, min_cmi: 1e-3 };
         let (x, y, z) = (views[0], views[1], &views[2..2 + n_z]);
 
-        let once = ci_test_views(x, y, z, weights, config);
-        let cmi = conditional_mutual_information_views(x, y, z, weights);
+        let once = ci_test(x, y, z, weights, config).unwrap();
+        let cmi = conditional_mutual_information(x, y, z, weights).unwrap();
         let twice = two_fold_reference(x, y, z, weights, config);
         prop_assert_eq!(once.cmi.to_bits(), cmi.to_bits());
         prop_assert_eq!(once.cmi.to_bits(), twice.cmi.to_bits());

@@ -46,7 +46,6 @@ pub mod cache;
 pub mod error;
 pub mod mcimr;
 pub mod missing;
-pub mod parallel;
 pub mod problem;
 pub mod pruning;
 pub mod report;
@@ -62,7 +61,6 @@ pub use missing::{
     analyze_attribute, analyze_candidates, combine_weights, fully_observed_columns,
     impute_candidates, selection_indicator, MissingPolicy, SelectionBiasInfo,
 };
-pub use parallel::parallel_map;
 pub use problem::{
     apply_query_context, extract_and_join, extract_and_join_with, prepare_from_joined,
     prepare_query, ColumnExtraction, Explanation, ExtractionJoin, PrepareConfig, PreparedQuery,
@@ -70,7 +68,7 @@ pub use problem::{
 pub use pruning::{prune, prune_offline, prune_online, PruneReason, PruningConfig, PruningReport};
 pub use report::{explanation_details, explanation_line, report_summary, subgroup_table};
 pub use responsibility::responsibilities;
-pub use session::{ExtractionCache, Session, SessionCacheStats, SessionLimits, SessionStats};
+pub use session::{ExtractionCache, Session, SessionCacheStats, SessionLimits};
 pub use subgroups::{unexplained_subgroups, Subgroup, SubgroupConfig};
 pub use system::{Mesa, MesaConfig, MesaReport};
 

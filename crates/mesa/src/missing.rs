@@ -100,8 +100,8 @@ fn screen(
     let r = selection_indicator(col);
     let o = encoded.column(outcome)?;
     let t = encoded.column(exposure)?;
-    let r_vs_o = infotheory::ci_test_views((&r).into(), o, &[], None, ci);
-    let r_vs_t = infotheory::ci_test_views((&r).into(), t, &[], None, ci);
+    let r_vs_o = infotheory::ci_test((&r).into(), o, &[], None, ci)?;
+    let r_vs_t = infotheory::ci_test((&r).into(), t, &[], None, ci)?;
     let biased = !r_vs_o.independent || !r_vs_t.independent;
     Ok(Screen {
         missing_fraction,

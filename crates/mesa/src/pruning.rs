@@ -197,7 +197,7 @@ pub fn prune_online(
 }
 
 /// `H(X | E)` of a table over `[X, E]`, the expression
-/// `infotheory::conditional_entropy_views` evaluates.
+/// `infotheory::conditional_entropy` evaluates.
 fn conditional_entropy(joint: &JointTable) -> f64 {
     (joint.entropy() - joint.marginal(&[1]).entropy()).max(0.0)
 }

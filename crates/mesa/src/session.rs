@@ -4,8 +4,8 @@
 //! extraction, join, binning, encoding, then the explanation search — even
 //! when dozens of queries hit the same dataset. A [`Session`] is constructed
 //! once per dataset (a `DataFrame`, optionally a `KnowledgeGraph`, and a
-//! [`MesaConfig`]) and amortises that work across queries, the way a
-//! traffic-serving deployment would:
+//! [`MesaConfig`]) and amortises that work across queries in three cache
+//! tiers:
 //!
 //! * **Extraction cache** ([`ExtractionCache`]) — the expensive KG stage
 //!   (entity linking + multi-hop expansion) is keyed by
@@ -168,26 +168,6 @@ impl<'g> ExtractionCache<'g> {
         Ok((*shared).clone())
     }
 
-    /// Number of cached extractions.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Number of lookups served from the cache.
-    pub fn hits(&self) -> usize {
-        self.inner.stats().hits
-    }
-
-    /// Number of lookups that ran the extraction.
-    pub fn misses(&self) -> usize {
-        self.inner.stats().misses
-    }
-
     /// Full counters of the underlying cache tier.
     pub fn stats(&self) -> CacheStats {
         self.inner.stats()
@@ -197,8 +177,8 @@ impl<'g> ExtractionCache<'g> {
 /// Per-tier budgets of a [`Session`]'s caches.
 ///
 /// The defaults are generous — sized so ordinary analytical workloads never
-/// evict — but finite, so a session that serves traffic for days cannot
-/// grow without bound. Use [`SessionLimits::unbounded`] to restore the
+/// evict — but finite, so a session that lives for days cannot grow
+/// without bound. Use [`SessionLimits::unbounded`] to restore the
 /// pre-budget behaviour, or set tight budgets (e.g.
 /// [`CacheBudget::entries`]) to exercise eviction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,25 +225,6 @@ impl SessionLimits {
     }
 }
 
-/// Cache counters of a [`Session`], for observability and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SessionStats {
-    /// Column extractions served from the cache.
-    pub extraction_hits: usize,
-    /// Column extractions computed.
-    pub extraction_misses: usize,
-    /// Distinct extraction cache entries.
-    pub extraction_entries: usize,
-    /// Prepared queries served from the memo.
-    pub prepared_hits: usize,
-    /// Prepared queries computed.
-    pub prepared_misses: usize,
-    /// Explanation reports served from the memo.
-    pub report_hits: usize,
-    /// Explanation reports computed.
-    pub report_misses: usize,
-}
-
 /// Full per-tier counters of a [`Session`]'s caches, including evictions,
 /// coalesced (deduplicated) misses, and approximate resident bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -281,11 +242,10 @@ pub struct SessionCacheStats {
 ///
 /// Borrows the dataset and knowledge graph (they are read-only for the
 /// session's lifetime) and owns the caches. All methods take `&self`; the
-/// session is `Sync`, so one instance can serve concurrent callers — that,
-/// plus [`Session::explain_many`], is the serving shape the ROADMAP's
-/// traffic-serving north star asks for. Panics inside the pipeline are
-/// contained at the session boundary ([`MesaError::Internal`]), and
-/// per-request deadlines are available via
+/// session is `Sync`, so one instance can serve concurrent callers, and
+/// [`Session::explain_many`] batches independent queries. Panics inside the
+/// pipeline are contained at the session boundary ([`MesaError::Internal`]),
+/// and per-request deadlines are available via
 /// [`Session::explain_with_deadline`].
 ///
 /// ```
@@ -308,7 +268,7 @@ pub struct SessionCacheStats {
 /// let cold = session.explain(&q).unwrap();
 /// let warm = session.explain(&q).unwrap(); // served from the report memo
 /// assert_eq!(cold.explanation, warm.explanation);
-/// assert_eq!(session.stats().report_hits, 1);
+/// assert_eq!(session.cache_stats().reports.hits, 1);
 /// ```
 #[derive(Debug)]
 pub struct Session<'a> {
@@ -374,22 +334,6 @@ impl<'a> Session<'a> {
     /// The per-tier cache budgets the session enforces.
     pub fn limits(&self) -> SessionLimits {
         self.limits
-    }
-
-    /// Current cache counters.
-    pub fn stats(&self) -> SessionStats {
-        let extraction = self.extraction.as_ref().map(ExtractionCache::stats);
-        let prepared = self.prepared.stats();
-        let reports = self.reports.stats();
-        SessionStats {
-            extraction_hits: extraction.map_or(0, |s| s.hits),
-            extraction_misses: extraction.map_or(0, |s| s.misses),
-            extraction_entries: extraction.map_or(0, |s| s.entries),
-            prepared_hits: prepared.hits,
-            prepared_misses: prepared.misses,
-            report_hits: reports.hits,
-            report_misses: reports.misses,
-        }
     }
 
     /// Full per-tier cache counters, including evictions, coalesced misses,
@@ -622,10 +566,10 @@ mod tests {
         let warm = session.explain(&q).unwrap();
         // same shared report object, not merely an equal one
         assert!(Arc::ptr_eq(&cold, &warm));
-        let stats = session.stats();
-        assert_eq!(stats.report_misses, 1);
-        assert_eq!(stats.report_hits, 1);
-        assert_eq!(stats.prepared_misses, 1);
+        let stats = session.cache_stats();
+        assert_eq!(stats.reports.misses, 1);
+        assert_eq!(stats.reports.hits, 1);
+        assert_eq!(stats.prepared.misses, 1);
     }
 
     #[test]
@@ -637,12 +581,13 @@ mod tests {
             .with_context(Predicate::eq("Region", "Europe"));
         session.explain(&q_all).unwrap();
         session.explain(&q_europe).unwrap();
-        let stats = session.stats();
+        let stats = session.cache_stats();
         // the Europe context selects a different distinct-value set, so the
         // extraction cannot be served from the cache
-        assert_eq!(stats.extraction_misses, 2);
-        assert_eq!(stats.extraction_entries, 2);
-        assert_eq!(stats.report_misses, 2);
+        let extraction = stats.extraction.unwrap();
+        assert_eq!(extraction.misses, 2);
+        assert_eq!(extraction.entries, 2);
+        assert_eq!(stats.reports.misses, 2);
     }
 
     #[test]
@@ -655,10 +600,11 @@ mod tests {
         let q2 = AggregateQuery::avg("Region", "Salary");
         session.prepare(&q1).unwrap();
         session.prepare(&q2).unwrap();
-        let stats = session.stats();
-        assert_eq!(stats.extraction_misses, 1);
-        assert_eq!(stats.extraction_hits, 1);
-        assert_eq!(stats.prepared_misses, 2);
+        let stats = session.cache_stats();
+        let extraction = stats.extraction.unwrap();
+        assert_eq!(extraction.misses, 1);
+        assert_eq!(extraction.hits, 1);
+        assert_eq!(stats.prepared.misses, 2);
     }
 
     #[test]
@@ -697,7 +643,7 @@ mod tests {
         let results = session.explain_many(&batch);
         assert_eq!(results.len(), 3);
         // duplicates computed once
-        assert_eq!(session.stats().report_misses, 2);
+        assert_eq!(session.cache_stats().reports.misses, 2);
         let r0 = results[0].as_ref().unwrap();
         let r2 = results[2].as_ref().unwrap();
         assert!(Arc::ptr_eq(r0, r2));
@@ -725,7 +671,7 @@ mod tests {
         let q = AggregateQuery::avg("Country", "Salary");
         let report = session.explain(&q).unwrap();
         assert_eq!(report.n_extracted, 0);
-        assert_eq!(session.stats().extraction_misses, 0);
+        assert!(session.cache_stats().extraction.is_none());
     }
 
     #[test]
@@ -765,9 +711,10 @@ mod tests {
             .get_or_extract("Country", &values, "other_key", base)
             .unwrap();
         assert!(renamed.table.has_column("other_key"));
-        assert_eq!(cache.len(), 6);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 6);
+        let stats = cache.stats();
+        assert_eq!(stats.entries, 6);
+        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.misses, 6);
     }
 
     #[test]

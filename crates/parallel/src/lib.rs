@@ -4,10 +4,9 @@
 //! the reproduction: per-entity KG extraction, MCIMR candidate scoring,
 //! `explain_many` batch fan-out, and the selection-bias analysis.
 //!
-//! [`parallel_map`] keeps the contract the old scoped-thread chunker had —
-//! results assembled in input order, panics propagated, auto-serial for
-//! small inputs — but executes on a lazily-built process-wide pool instead
-//! of spawning fresh OS threads per call (see [`pool`] module docs for the
+//! [`parallel_map`] assembles results in input order, propagates panics and
+//! runs small inputs serially, on a lazily-built process-wide pool rather
+//! than fresh OS threads per call (see [`pool`] module docs for the
 //! runtime design: lock-free batch claiming with adaptive grain, parked
 //! workers, and composable nested fan-outs that never spawn or deadlock).
 //!
@@ -44,11 +43,9 @@ pub mod deadline;
 #[cfg(feature = "fault-injection")]
 pub mod faults;
 pub mod pool;
-pub mod scoped;
 
 pub use deadline::{checkpoint, current_deadline, with_deadline, Cancelled, Deadline};
 pub use pool::{effective_threads, set_threads, with_thread_cap};
-pub use scoped::scoped_map;
 
 /// Declares a named fault-injection point. Expands to a
 /// `faults::hit` call when the *calling* crate enables its
@@ -227,25 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn scoped_reference_joins_all_before_resuming() {
-        // Two panicking chunks: the old `join().expect()` pattern aborted
-        // here (panic during unwind in the scope guard); the fixed version
-        // joins everything and resumes the first payload.
-        let items: Vec<usize> = (0..64).collect();
-        let result = std::panic::catch_unwind(|| {
-            scoped_map(&items, 4, |_, &x| {
-                if x % 16 == 3 {
-                    panic!("chunk panic at {x}");
-                }
-                x
-            })
-        });
-        assert!(result.is_err());
-        let ok = scoped_map(&items, 4, |i, &x| i + x);
-        assert_eq!(ok[10], 20);
-    }
-
-    #[test]
     fn expired_deadline_cancels_fan_out_and_pool_survives() {
         pool4();
         let items: Vec<usize> = (0..256).collect();
@@ -295,14 +273,5 @@ mod tests {
         assert!(payload.downcast_ref::<Cancelled>().is_some());
         let ok = parallel_map(&items, |_, &x| x);
         assert_eq!(ok.len(), 64);
-    }
-
-    #[test]
-    fn scoped_reference_matches_pool_output() {
-        pool4();
-        let items: Vec<u64> = (0..200).collect();
-        let pooled = parallel_map(&items, |i, &x| x * x + i as u64);
-        let scoped = scoped_map(&items, 4, |i, &x| x * x + i as u64);
-        assert_eq!(pooled, scoped);
     }
 }

@@ -27,7 +27,7 @@
 //! | §5 evaluation | Synthetic world, the four datasets, the 14-query workload | [`datagen`]; experiment binaries in `crates/bench/src/bin` |
 //! | §5 baselines | Brute-Force, Top-K, Linear Regression, HypDB | [`mesa::baselines`] |
 //! | (infrastructure) | Entropy / CMI estimators, CI tests, the dense counting kernel | [`infotheory`] ([`infotheory::EncodedFrame`], `infotheory::kernel`) |
-//! | (infrastructure) | Persistent work-sharing pool (nested fan-outs, `MESA_THREADS`) shared by extraction, scoring, sessions | `parallel` (re-exported as [`mesa::parallel_map`], controls under [`mesa::parallel`]) |
+//! | (infrastructure) | Persistent work-sharing pool (nested fan-outs, `MESA_THREADS`) shared by extraction, scoring, sessions | [`parallel`] ([`parallel::parallel_map`], [`parallel::with_thread_cap`]) |
 //!
 //! ## Two ways to run the system
 //!
@@ -83,7 +83,7 @@
 //! // Asking again is a memo lookup, byte-identical to the first answer.
 //! let again = session.explain(&by_country).unwrap();
 //! assert_eq!(again.explanation, report.explanation);
-//! assert!(session.stats().report_hits >= 1);
+//! assert!(session.cache_stats().reports.hits >= 1);
 //!
 //! // The one-shot facade runs the same staged pipeline underneath.
 //! let one_shot = mesa.explain(&df, &by_country, Some(&graph), &["Country"]).unwrap();
@@ -98,7 +98,7 @@
 //! * `crates/bench/src/bin` — one binary per table / figure of the paper's
 //!   evaluation, plus appendix experiments; each emits a machine-readable
 //!   `BENCH_<name>.json` (see the README's "Reproducing the benchmarks").
-//! * `ROADMAP.md` — the production-scale north star and open items;
+//! * `ROADMAP.md` — the north star and open items;
 //!   `CHANGES.md` — what each PR did.
 
 #![deny(missing_docs)]
@@ -109,5 +109,6 @@ pub use fuzz;
 pub use infotheory;
 pub use kg;
 pub use mesa;
+pub use parallel;
 pub use stats;
 pub use tabular;

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use mesa_repro::infotheory::{conditional_mutual_information, EncodedFrame, JointTable};
 use mesa_repro::mesa::baselines::brute_force;
 use mesa_repro::mesa::{mcimr, prepare_query, McimrConfig, PrepareConfig, PreparedQuery};
-use mesa_repro::tabular::{AggregateQuery, Column, DataFrameBuilder};
+use mesa_repro::tabular::{AggregateQuery, Column, ColumnView, DataFrameBuilder, EncodedColumn};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -32,15 +32,25 @@ fn shuffled_column(name: &str, cardinality: u32, rows: usize, seed: u64) -> Colu
     Column::from_str_values(name, values.iter().map(|v| v.as_deref()).collect())
 }
 
+/// The joint table of `x` and `y` with the dense-cell threshold at
+/// `dense_cells` (0 forces the sparse hash path).
+fn table_with_threshold(x: &EncodedColumn, y: &EncodedColumn, dense_cells: usize) -> JointTable {
+    JointTable::try_build_with_threshold(&[x.into(), y.into()], None, dense_cells).unwrap()
+}
+
+fn sparse_table(x: &EncodedColumn, y: &EncodedColumn) -> JointTable {
+    table_with_threshold(x, y, 0)
+}
+
 #[test]
 fn sparse_entropy_is_bit_stable_across_independent_builds() {
     let x = shuffled_column("x", 60, 500, 7).encode();
     let y = shuffled_column("y", 60, 500, 8).encode();
     // Threshold 0 forces the sparse hash path.
-    let reference = JointTable::build_with_threshold(&[&x, &y], None, 0);
+    let reference = sparse_table(&x, &y);
     assert!(!reference.is_dense());
     for _ in 0..5 {
-        let rebuilt = JointTable::build_with_threshold(&[&x, &y], None, 0);
+        let rebuilt = sparse_table(&x, &y);
         assert_eq!(
             reference.entropy().to_bits(),
             rebuilt.entropy().to_bits(),
@@ -67,9 +77,13 @@ fn sparse_cmi_is_bit_stable_across_independent_builds() {
     let x = shuffled_column("x", 80, 400, 21).encode();
     let y = shuffled_column("y", 80, 400, 22).encode();
     let z = shuffled_column("z", 4, 400, 23).encode();
-    let first = conditional_mutual_information(&x, &y, &[&z], None);
+    let cmi = || {
+        conditional_mutual_information((&x).into(), (&y).into(), &[ColumnView::from(&z)], None)
+            .unwrap()
+    };
+    let first = cmi();
     for _ in 0..5 {
-        let again = conditional_mutual_information(&x, &y, &[&z], None);
+        let again = cmi();
         assert_eq!(first.to_bits(), again.to_bits());
     }
 }
@@ -146,8 +160,8 @@ fn sparse_and_dense_paths_agree_on_the_shuffled_table() {
     // floating-point reassociation.
     let x = shuffled_column("x", 12, 600, 31).encode();
     let y = shuffled_column("y", 9, 600, 32).encode();
-    let dense = JointTable::build_with_threshold(&[&x, &y], None, 1 << 20);
-    let sparse = JointTable::build_with_threshold(&[&x, &y], None, 0);
+    let dense = table_with_threshold(&x, &y, 1 << 20);
+    let sparse = sparse_table(&x, &y);
     assert!(dense.is_dense() && !sparse.is_dense());
     assert!((dense.entropy() - sparse.entropy()).abs() < 1e-12);
 }
@@ -159,7 +173,8 @@ fn render_workload_at(cap: usize) -> String {
     use mesa_repro::datagen::{
         build_kg, generate_covid, representative_queries_for, Dataset, KgConfig, World, WorldConfig,
     };
-    use mesa_repro::mesa::{parallel, report_summary, Mesa};
+    use mesa_repro::mesa::{report_summary, Mesa};
+    use mesa_repro::parallel;
 
     parallel::with_thread_cap(cap, || {
         let world = World::generate(WorldConfig {
@@ -202,7 +217,7 @@ fn reports_are_byte_identical_across_thread_counts() {
     // Force a 4-thread pool even on a single-core host so caps 2 and 4
     // genuinely schedule across workers (`MESA_THREADS`, when set, takes
     // precedence; CI additionally runs the whole suite at MESA_THREADS=4).
-    let pool = mesa_repro::mesa::parallel::set_threads(4);
+    let pool = mesa_repro::parallel::set_threads(4);
     let reference = render_workload_at(1);
     assert!(!reference.is_empty());
     for cap in [2usize, 4] {
@@ -223,9 +238,8 @@ fn ipw_weights_at(cap: usize) -> Vec<(String, Option<Vec<u64>>)> {
     use mesa_repro::datagen::{
         build_kg, representative_queries_for, Dataset, KgConfig, World, WorldConfig,
     };
-    use mesa_repro::mesa::{
-        analyze_candidates, fully_observed_columns, parallel, prune, Mesa, MesaConfig,
-    };
+    use mesa_repro::mesa::{analyze_candidates, fully_observed_columns, prune, Mesa, MesaConfig};
+    use mesa_repro::parallel;
 
     let world = World::generate(WorldConfig {
         n_countries: 60,
@@ -282,7 +296,7 @@ fn ipw_weights_at(cap: usize) -> Vec<(String, Option<Vec<u64>>)> {
 
 #[test]
 fn ipw_weights_are_identical_across_thread_counts() {
-    let pool = mesa_repro::mesa::parallel::set_threads(4);
+    let pool = mesa_repro::parallel::set_threads(4);
     let reference = ipw_weights_at(1);
     let weighted = reference.iter().filter(|(_, w)| w.is_some()).count();
     assert!(
@@ -307,9 +321,8 @@ fn render_evict_rewarm_at(cap: usize) -> String {
     use mesa_repro::datagen::{
         build_kg, generate_covid, representative_queries_for, Dataset, KgConfig, World, WorldConfig,
     };
-    use mesa_repro::mesa::{
-        parallel, report_summary, CacheBudget, MesaConfig, Session, SessionLimits,
-    };
+    use mesa_repro::mesa::{report_summary, CacheBudget, MesaConfig, Session, SessionLimits};
+    use mesa_repro::parallel;
 
     parallel::with_thread_cap(cap, || {
         let world = World::generate(WorldConfig {
@@ -355,7 +368,7 @@ fn render_evict_rewarm_at(cap: usize) -> String {
 
 #[test]
 fn evict_then_rewarm_is_byte_identical_across_thread_counts() {
-    let pool = mesa_repro::mesa::parallel::set_threads(4);
+    let pool = mesa_repro::parallel::set_threads(4);
     let reference = render_evict_rewarm_at(1);
     assert!(!reference.is_empty());
     for cap in [2usize, 4] {

@@ -7,14 +7,14 @@ use proptest::prelude::*;
 use mesa_repro::infotheory::{
     conditional_entropy, conditional_mutual_information, entropy, joint_entropy, mutual_information,
 };
-use mesa_repro::tabular::{bin_column, BinStrategy, Column, DataFrame, Value};
+use mesa_repro::tabular::{bin_column, BinStrategy, Column, DataFrame, EncodedColumn, Value};
 
 /// Strategy: a small categorical column as integer codes in 0..card.
 fn coded_column(len: usize, card: u32) -> impl Strategy<Value = Vec<u32>> {
     prop::collection::vec(0..card, len)
 }
 
-fn to_encoded(codes: &[u32]) -> mesa_repro::tabular::EncodedColumn {
+fn to_encoded(codes: &[u32]) -> EncodedColumn {
     Column::from_i64("c", codes.iter().map(|&c| Some(c as i64)).collect()).encode()
 }
 
@@ -25,7 +25,7 @@ proptest! {
     #[test]
     fn entropy_bounds(codes in coded_column(60, 5)) {
         let x = to_encoded(&codes);
-        let h = entropy(&x, None);
+        let h = entropy((&x).into(), None).unwrap();
         prop_assert!(h >= 0.0);
         prop_assert!(h <= (x.cardinality().max(1) as f64).log2() + 1e-9);
     }
@@ -38,11 +38,13 @@ proptest! {
     ) {
         let x = to_encoded(&xs);
         let y = to_encoded(&ys);
-        let ixy = mutual_information(&x, &y, None);
-        let iyx = mutual_information(&y, &x, None);
+        let ixy = mutual_information((&x).into(), (&y).into(), None).unwrap();
+        let iyx = mutual_information((&y).into(), (&x).into(), None).unwrap();
         prop_assert!((ixy - iyx).abs() < 1e-9);
         prop_assert!(ixy >= 0.0);
-        prop_assert!(ixy <= entropy(&x, None).min(entropy(&y, None)) + 1e-9);
+        let hx = entropy((&x).into(), None).unwrap();
+        let hy = entropy((&y).into(), None).unwrap();
+        prop_assert!(ixy <= hx.min(hy) + 1e-9);
     }
 
     /// H(X,Y) = H(X) + H(Y|X) (chain rule) on fully observed data.
@@ -53,8 +55,9 @@ proptest! {
     ) {
         let x = to_encoded(&xs);
         let y = to_encoded(&ys);
-        let joint = joint_entropy(&[&x, &y], None);
-        let chained = entropy(&x, None) + conditional_entropy(&y, &[&x], None);
+        let joint = joint_entropy(&[(&x).into(), (&y).into()], None).unwrap();
+        let chained = entropy((&x).into(), None).unwrap()
+            + conditional_entropy((&y).into(), &[(&x).into()], None).unwrap();
         prop_assert!((joint - chained).abs() < 1e-9, "joint={joint}, chained={chained}");
     }
 
@@ -68,8 +71,11 @@ proptest! {
         let x = to_encoded(&xs);
         let y = to_encoded(&ys);
         let z = to_encoded(&zs);
-        prop_assert!(conditional_mutual_information(&x, &y, &[&z], None) >= 0.0);
-        prop_assert!(conditional_mutual_information(&x, &y, &[&x], None) < 1e-9);
+        let cmi = |given: &EncodedColumn| {
+            conditional_mutual_information((&x).into(), (&y).into(), &[given.into()], None).unwrap()
+        };
+        prop_assert!(cmi(&z) >= 0.0);
+        prop_assert!(cmi(&x) < 1e-9);
     }
 
     /// Uniform per-row weights leave every estimate unchanged.
@@ -82,8 +88,8 @@ proptest! {
         let x = to_encoded(&xs);
         let y = to_encoded(&ys);
         let w = vec![scale; xs.len()];
-        let unweighted = mutual_information(&x, &y, None);
-        let weighted = mutual_information(&x, &y, Some(&w));
+        let unweighted = mutual_information((&x).into(), (&y).into(), None).unwrap();
+        let weighted = mutual_information((&x).into(), (&y).into(), Some(&w)).unwrap();
         prop_assert!((unweighted - weighted).abs() < 1e-9);
     }
 

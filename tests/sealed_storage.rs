@@ -7,8 +7,7 @@
 use proptest::prelude::*;
 
 use mesa_repro::infotheory::{
-    conditional_mutual_information, conditional_mutual_information_views, entropy, entropy_view,
-    mutual_information, mutual_information_views, JointTable,
+    conditional_mutual_information, entropy, mutual_information, JointTable,
 };
 use mesa_repro::tabular::{ColumnView, EncodedColumn, Encoding};
 
@@ -67,8 +66,8 @@ fn assert_bitwise_kernel_parity(cols: &[&EncodedColumn], weights: Option<&[f64]>
     let plain: Vec<ColumnView<'_>> = cols.iter().map(|&c| c.into()).collect();
     let views: Vec<ColumnView<'_>> = sealed.iter().map(ColumnView::from).collect();
     for dense_cells in [1usize << 20, 0] {
-        let reference = JointTable::build_views_with_threshold(&plain, weights, dense_cells);
-        let run_aware = JointTable::build_views_with_threshold(&views, weights, dense_cells);
+        let reference = JointTable::try_build_with_threshold(&plain, weights, dense_cells).unwrap();
+        let run_aware = JointTable::try_build_with_threshold(&views, weights, dense_cells).unwrap();
         assert_eq!(reference.complete_cases(), run_aware.complete_cases());
         assert_eq!(reference.n_cells(), run_aware.n_cells());
         assert_eq!(reference.total().to_bits(), run_aware.total().to_bits());
@@ -159,22 +158,20 @@ proptest! {
         let z = to_column(&zs[..n], 2);
         let (sx, sy, sz) = (x.seal(), y.seal(), z.seal());
         prop_assert_eq!(
-            entropy(&x, None).to_bits(),
-            entropy_view(ColumnView::from(&sx), None).to_bits()
+            entropy((&x).into(), None).unwrap().to_bits(),
+            entropy((&sx).into(), None).unwrap().to_bits()
         );
         prop_assert_eq!(
-            mutual_information(&x, &y, None).to_bits(),
-            mutual_information_views((&sx).into(), (&sy).into(), None).to_bits()
+            mutual_information((&x).into(), (&y).into(), None).unwrap().to_bits(),
+            mutual_information((&sx).into(), (&sy).into(), None).unwrap().to_bits()
         );
         prop_assert_eq!(
-            conditional_mutual_information(&x, &y, &[&z], None).to_bits(),
-            conditional_mutual_information_views(
-                (&sx).into(),
-                (&sy).into(),
-                &[(&sz).into()],
-                None
-            )
-            .to_bits()
+            conditional_mutual_information((&x).into(), (&y).into(), &[(&z).into()], None)
+                .unwrap()
+                .to_bits(),
+            conditional_mutual_information((&sx).into(), (&sy).into(), &[(&sz).into()], None)
+                .unwrap()
+                .to_bits()
         );
     }
 
@@ -193,9 +190,11 @@ proptest! {
         let sx = x.seal();
         for dense_cells in [1usize << 20, 0] {
             let oracle =
-                JointTable::build_views_with_threshold(&[(&x).into(), (&y).into()], None, dense_cells);
+                JointTable::try_build_with_threshold(&[(&x).into(), (&y).into()], None, dense_cells)
+                    .unwrap();
             let mixed =
-                JointTable::build_views_with_threshold(&[(&sx).into(), (&y).into()], None, dense_cells);
+                JointTable::try_build_with_threshold(&[(&sx).into(), (&y).into()], None, dense_cells)
+                    .unwrap();
             prop_assert_eq!(oracle.complete_cases(), mixed.complete_cases());
             prop_assert_eq!(oracle.entropy().to_bits(), mixed.entropy().to_bits());
         }
